@@ -21,24 +21,15 @@ from .domination import (
 from .graph6 import to_graph6
 from .graphs import format_edge_list, graph_from_spec
 from .harness import (
-    PROJECTION_CAP,
+    CHECKS,
+    SweepConfig,
     any_failures,
-    check_cartesian,
-    check_cartesian_projection,
-    check_cartesian_rectangle,
-    check_lexico_projection,
-    check_lexicographic,
-    check_strong,
-    check_strong_kmn,
-    check_strong_kn,
-    default_config,
     parse_sweep_config,
+    run_check,
     run_sweep,
     write_reports,
 )
 from .products import product
-
-CHECK_CHOICES = ("cartesian", "strong", "strong-kn", "strong-kmn", "lex", "projection", "rectangle")
 
 
 def _default_workers() -> int:
@@ -76,14 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_product.set_defaults(func=_cmd_product)
 
     p_check = sub.add_parser("check", help="run one bound check on explicit inputs")
-    p_check.add_argument("name", choices=CHECK_CHOICES)
+    p_check.add_argument("name", choices=tuple(CHECKS))
     p_check.add_argument("--left", help="left factor spec")
     p_check.add_argument("--right", help="right factor spec")
     p_check.add_argument("--m", type=int, help="left part size for strong-kmn")
     p_check.add_argument("--n", type=int, help="order for strong-kn / right part size for strong-kmn")
     p_check.add_argument("--format", choices=("csv", "jsonl", "text"), default="text")
-    p_check.add_argument("--seed", type=int, default=7, help="seed for sampled-set checks")
-    p_check.add_argument("--sample", type=int, default=20, help="sampled non-minimum sets per instance")
+    p_check.add_argument("--seed", type=int, default=SweepConfig.seed, help="seed for sampled-set checks")
+    p_check.add_argument(
+        "--sample", type=int, default=SweepConfig.sample, help="sampled non-minimum sets per instance"
+    )
     p_check.add_argument("--out", default="-", help="report path; '-' for stdout")
     p_check.add_argument("--timings", action="store_true", help="fill elapsed_ms (breaks byte-identity)")
     common(p_check)
@@ -138,46 +131,16 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_specs(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name.strip("-")) is None:
-            raise ValueError(f"check {args.name!r} requires --{name.strip('-')}")
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    name = args.name
-    reports = []
-    common = {"cap": args.cap, "workers": args.workers, "timings": args.timings}
-    if name in ("cartesian", "strong", "lex"):
-        _require_specs(args, "left", "right")
-        g, h = graph_from_spec(args.left), graph_from_spec(args.right)
-        fn = {"cartesian": check_cartesian, "strong": check_strong, "lex": check_lexicographic}[name]
-        reports.append(fn(g, h, **common))
-    elif name == "strong-kn":
-        _require_specs(args, "left")
-        if args.n is None:
-            raise ValueError("check 'strong-kn' requires --n")
-        reports.append(check_strong_kn(graph_from_spec(args.left), args.n, **common))
-    elif name == "strong-kmn":
-        _require_specs(args, "left")
-        if args.m is None or args.n is None:
-            raise ValueError("check 'strong-kmn' requires --m and --n")
-        reports.append(check_strong_kmn(graph_from_spec(args.left), args.m, args.n, **common))
-    elif name == "projection":
-        _require_specs(args, "left", "right")
-        g, h = graph_from_spec(args.left), graph_from_spec(args.right)
-        cap = min(args.cap, PROJECTION_CAP)
-        sampling = {"sample": args.sample, "seed": args.seed}
-        reports.append(
-            check_cartesian_projection(g, h, cap=cap, workers=args.workers, timings=args.timings, **sampling)
-        )
-        reports.append(
-            check_lexico_projection(g, h, cap=cap, workers=args.workers, timings=args.timings, **sampling)
-        )
-    else:
-        _require_specs(args, "left", "right")
-        g, h = graph_from_spec(args.left), graph_from_spec(args.right)
-        reports.append(check_cartesian_rectangle(g, h, timings=args.timings))
+    flags = dict.fromkeys(flag for run in CHECKS[args.name] for flag in run.source.flags)
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"check {args.name!r} requires {' and '.join(missing)}")
+    values = {flag: getattr(args, flag) for flag in flags}
+    for flag in ("left", "right"):
+        if flag in values:
+            values[flag] = graph_from_spec(values[flag])
+    reports = run_check(args.name, lambda source: [tuple(values[f] for f in source.flags)], vars(args))
     _emit(reports, args)
     return 1 if any_failures(reports) else 0
 
@@ -187,7 +150,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with open(args.config) as fh:
             cfg = parse_sweep_config(fh.read())
     else:
-        cfg = default_config()
+        cfg = SweepConfig()
     if args.cap is not None:
         cfg = replace(cfg, cap=args.cap)
     if args.seed is not None:

@@ -20,13 +20,20 @@ from .graphs import UNREACHABLE, DistanceMatrix, Graph, VertexSet, distance_matr
 
 
 class IntervalCache:
-    """Per-graph context: distance matrix plus memoized intervals and level masks."""
+    """The one per-graph context: distances, adjacency, level and ball masks, intervals.
+
+    The solvers, the predicates and the checks all read the graph through
+    this object.  Level and ball masks are built on first use; intervals are
+    memoized as raw masks per unordered pair, so the outer-convex scan and
+    ``is_convex`` share one memo.  Nothing is memoized across contexts:
+    results of whole solves are not cached.
+    """
 
     def __init__(self, g: Graph, dm: DistanceMatrix | None = None):
         self.graph = g
         self.dm = dm if dm is not None else distance_matrix(g)
         self.adj_bits = g.adjacency_bits()
-        self._intervals: dict[tuple[int, int], VertexSet] = {}
+        self._intervals: dict[tuple[int, int], int] = {}
         self._levels: list[list[int]] | None = None
         self._balls: list[list[int]] | None = None
 
@@ -62,26 +69,39 @@ class IntervalCache:
             self._balls = balls
         return self._balls
 
+    def interval_bits(self, u: int, v: int) -> int:
+        """Mask of I[u,v], memoized per unordered pair."""
+        key = (u, v) if u <= v else (v, u)
+        hit = self._intervals.get(key)
+        if hit is not None:
+            return hit
+        rows = self.dm.rows
+        ru, rv = rows[u], rows[v]
+        duv = ru[v]
+        if duv == UNREACHABLE:
+            raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
+        bits = 0
+        for w in range(self.graph.order):
+            if ru[w] != UNREACHABLE and rv[w] != UNREACHABLE and ru[w] + rv[w] == duv:
+                bits |= 1 << w
+        self._intervals[key] = bits
+        return bits
+
+    def convex_bits(self, cbits: int) -> bool:
+        """Convexity test on a raw mask: every interval between members stays inside it."""
+        if cbits & (cbits - 1) == 0:
+            return True
+        members = tuple(iter_bits(cbits))
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                if self.interval_bits(u, v) & ~cbits:
+                    return False
+        return True
+
 
 def interval(cache: IntervalCache, u: int, v: int) -> VertexSet:
     """I[u,v]: all vertices on some u-v geodesic."""
-    key = (u, v) if u <= v else (v, u)
-    hit = cache._intervals.get(key)
-    if hit is not None:
-        return hit
-    rows = cache.dm.rows
-    duv = rows[u][v]
-    if duv == UNREACHABLE:
-        raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
-    bits = 0
-    ru, rv = rows[u], rows[v]
-    for w in range(cache.graph.order):
-        if ru[w] != UNREACHABLE and rv[w] != UNREACHABLE and ru[w] + rv[w] == duv:
-            bits |= 1 << w
-    result = VertexSet(cache.graph.order, bits)
-    if len(cache._intervals) < cache.graph.order * cache.graph.order:
-        cache._intervals[key] = result
-    return result
+    return VertexSet(cache.graph.order, cache.interval_bits(u, v))
 
 
 def interval_closure(cache: IntervalCache, d: VertexSet) -> VertexSet:
@@ -90,15 +110,13 @@ def interval_closure(cache: IntervalCache, d: VertexSet) -> VertexSet:
     bits = d.bits
     for i, u in enumerate(members):
         for v in members[i:]:
-            bits |= interval(cache, u, v).bits
+            bits |= cache.interval_bits(u, v)
     return VertexSet(cache.graph.order, bits)
 
 
 def is_convex(cache: IntervalCache, d: VertexSet) -> bool:
     """True iff d is closed under geodesics: I[D] = D."""
-    if len(d) <= 1:
-        return True
-    return interval_closure(cache, d) == d
+    return cache.convex_bits(d.bits)
 
 
 def weakly_convex_bits(adj: tuple[int, ...], balls: list[list[int]], cbits: int) -> bool:

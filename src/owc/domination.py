@@ -15,9 +15,10 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .convexity import IntervalCache, is_convex, weakly_convex_bits
-from .graphs import UNREACHABLE, Graph, VertexSet, is_connected, iter_bits
+from .graphs import Graph, VertexSet, is_connected, iter_bits
 
 DEFAULT_CAP = 24
 
@@ -86,65 +87,6 @@ def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
 # Search engine
 
 
-class _Context:
-    """Immutable per-graph data for the subset scan."""
-
-    __slots__ = ("order", "full", "adj", "balls", "rows", "_intervals")
-
-    def __init__(self, g: Graph, cache: IntervalCache | None = None):
-        if cache is None:
-            cache = IntervalCache(g)
-        self.order = g.order
-        self.full = (1 << g.order) - 1
-        self.adj = cache.adj_bits
-        self.balls = cache.ball_masks
-        self.rows = cache.dm.rows
-        self._intervals: dict[tuple[int, int], int] = {}
-
-    def interval_bits(self, u: int, v: int) -> int:
-        key = (u, v) if u <= v else (v, u)
-        hit = self._intervals.get(key)
-        if hit is not None:
-            return hit
-        ru, rv = self.rows[u], self.rows[v]
-        duv = ru[v]
-        bits = 0
-        for w in range(self.order):
-            if ru[w] != UNREACHABLE and rv[w] != UNREACHABLE and ru[w] + rv[w] == duv:
-                bits |= 1 << w
-        self._intervals[key] = bits
-        return bits
-
-    def convex_bits(self, cbits: int) -> bool:
-        if cbits & (cbits - 1) == 0:
-            return True
-        members = tuple(iter_bits(cbits))
-        for i, u in enumerate(members):
-            ru = self.rows[u]
-            for v in members[i + 1:]:
-                if ru[v] == UNREACHABLE or self.interval_bits(u, v) & ~cbits:
-                    return False
-        return True
-
-
-def _passes(ctx: _Context, sbits: int, mode: str) -> bool:
-    cover = sbits
-    t = sbits
-    adj = ctx.adj
-    while t:
-        low = t & -t
-        cover |= adj[low.bit_length() - 1]
-        t ^= low
-    if cover != ctx.full:
-        return False
-    if mode == MODE_DOMINATING:
-        return True
-    comp = ctx.full ^ sbits
-    if mode == MODE_OWC:
-        return weakly_convex_bits(adj, ctx.balls, comp)
-    return ctx.convex_bits(comp)
-
-
 def _next_colex(s: int) -> int:
     # Gosper's hack: next integer with the same popcount.
     u = s & -s
@@ -165,14 +107,26 @@ def _colex_unrank(rank: int, k: int) -> int:
 
 
 def _scan_range(
-    ctx: _Context, k: int, start: int, count: int, mode: str
+    cache: IntervalCache, k: int, start: int, count: int, mode: str
 ) -> tuple[tuple[int, ...] | None, list[int]]:
     """Scan ``count`` colex-consecutive k-subsets; return (best tuple, passing masks)."""
+    adj = cache.adj_bits
+    full = (1 << len(adj)) - 1
+    if mode == MODE_OWC:
+        outer_ok = partial(weakly_convex_bits, adj, cache.ball_masks)
+    else:
+        outer_ok = cache.convex_bits
     s = _colex_unrank(start, k)
     best: tuple[int, ...] | None = None
     found: list[int] = []
     for _ in range(count):
-        if _passes(ctx, s, mode):
+        cover = s
+        rest = s
+        while rest:
+            low = rest & -rest
+            cover |= adj[low.bit_length() - 1]
+            rest ^= low
+        if cover == full and (mode == MODE_DOMINATING or outer_ok(full ^ s)):
             found.append(s)
             t = tuple(iter_bits(s))
             if best is None or t < best:
@@ -185,7 +139,7 @@ def _scan_worker(args: tuple[tuple[int, ...], str, int, int, int]) -> tuple[tupl
     adj, mode, k, start, count = args
     order = len(adj)
     g = Graph(order, (VertexSet(order, b) for b in adj))
-    return _scan_range(_Context(g), k, start, count, mode)
+    return _scan_range(IntervalCache(g), k, start, count, mode)
 
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
@@ -201,15 +155,15 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _scan_level(
-    ctx: _Context, g: Graph, k: int, mode: str, workers: int
+    cache: IntervalCache, k: int, mode: str, workers: int
 ) -> tuple[tuple[int, ...] | None, list[int]]:
-    total = math.comb(ctx.order, k)
+    total = math.comb(cache.graph.order, k)
     if workers <= 1 or total < _PARALLEL_THRESHOLD:
-        return _scan_range(ctx, k, 0, total, mode)
+        return _scan_range(cache, k, 0, total, mode)
     chunk = (total + workers - 1) // workers
     tasks = []
     start = 0
-    adj = ctx.adj
+    adj = cache.adj_bits
     while start < total:
         count = min(chunk, total - start)
         tasks.append((adj, mode, k, start, count))
@@ -234,11 +188,11 @@ def _require_solvable(g: Graph, cap: int) -> None:
 
 def _solve_min(g: Graph, mode: str, cap: int, workers: int) -> tuple[OwcResult, list[int]]:
     _require_solvable(g, cap)
-    ctx = _Context(g)
+    cache = IntervalCache(g)
     t0 = time.perf_counter()
     examined = 0
     for k in range(1, g.order + 1):
-        best, found = _scan_level(ctx, g, k, mode, workers)
+        best, found = _scan_level(cache, k, mode, workers)
         examined += math.comb(g.order, k)
         if best is not None:
             bits = 0
@@ -284,8 +238,7 @@ def sets_of_size(
     _require_solvable(g, cap)
     if not 0 < k <= g.order:
         raise ValueError(f"size {k} out of range for order {g.order}")
-    ctx = _Context(g)
-    _, found = _scan_level(ctx, g, k, mode, workers)
+    _, found = _scan_level(IntervalCache(g), k, mode, workers)
     sets = [VertexSet(g.order, bits) for bits in found]
     sets.sort(key=lambda s: s.vertices())
     return sets
@@ -311,12 +264,11 @@ def script_p(
     (returns None then).
     """
     if mode == SCRIPT_P_WEAKLY_CONVEX:
-        candidates = enumerate_min_owc_sets(g, cap=cap, workers=workers)
-    elif mode == SCRIPT_P_CONVEX:
-        value = owc_domination_number(g, cap=cap, workers=workers).value
-        candidates = sets_of_size(g, value, MODE_OCON, cap=cap, workers=workers)
-    else:
+        return script_p_realizer(g, cap=cap, workers=workers)[1]
+    if mode != SCRIPT_P_CONVEX:
         raise ValueError(f"unknown script_p mode {mode!r}")
+    value = owc_domination_number(g, cap=cap, workers=workers).value
+    candidates = sets_of_size(g, value, MODE_OCON, cap=cap, workers=workers)
     if not candidates:
         return None
     return min(len(isolated_in_induced(g, s)) for s in candidates)

@@ -14,7 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from . import constructions as recipes
 from .convexity import IntervalCache
@@ -207,7 +207,7 @@ def check_strong(
     p = strong(g, h)
     rg = owc_domination_number(g, cap=cap)
     rh = owc_domination_number(h, cap=cap)
-    lower = max(domination_number(g).value, domination_number(h).value)
+    lower = max(domination_number(g, cap=cap).value, domination_number(h, cap=cap).value)
     upper = min(rg.value * h.order, rh.value * g.order)
     if p.order > cap:
         return _skip_report("check_strong", p, cap, lower=lower, upper=upper, t0=t0, timings=timings)
@@ -239,7 +239,7 @@ def check_strong_kmn(
         raise ValueError(f"both parts must be >= 2, got {m},{n}")
     t0 = time.perf_counter()
     p = strong(g, complete_bipartite_graph(m, n))
-    dg = domination_number(g)
+    dg = domination_number(g, cap=cap)
     upper = 2 * dg.value
     lower = 2 if is_complete_graph(g) else 1
     notes = [f"statement reading 2*gamma_wcon(G)={2 * owc_domination_number(g, cap=cap).value}"]
@@ -278,16 +278,17 @@ def check_lexicographic(
 
 
 def _projection_failures(
-    p: ProductGraph, sets: Iterable[VertexSet], sides: tuple[str, ...], label: str
+    p: ProductGraph, sets: Iterable[tuple[str, VertexSet]], sides: tuple[str, ...]
 ) -> list[str]:
+    """One line per labeled set and side whose projection fails in that factor."""
+    factors = {"left": (p.left, p.project_left), "right": (p.right, p.project_right)}
+    caches = {side: IntervalCache(factors[side][0]) for side in sides}
     out = []
-    for s in sets:
+    for label, s in sets:
         for side in sides:
-            if side == "left":
-                proj, factor = p.project_left(s), p.left
-            else:
-                proj, factor = p.project_right(s), p.right
-            if not is_owc_dominating(factor, proj):
+            factor, project = factors[side]
+            proj = project(s)
+            if not is_owc_dominating(factor, proj, caches[side]):
                 out.append(f"{label} S={format_product_set(p, s)} side={side} proj={proj} fails in factor")
     return out
 
@@ -322,13 +323,12 @@ def _projection_report(
 ) -> BoundReport:
     if p.order > cap:
         return _skip_report(check, p, cap, t0=t0, timings=timings)
-    exact = owc_domination_number(p.graph, cap=cap, workers=workers)
     min_sets = enumerate_min_owc_sets(p.graph, cap=cap, workers=workers)
-    cache = IntervalCache(p.graph)
+    exact = len(min_sets[0])
     rng = random.Random(f"{seed}:{check}:{p.graph.name}")
-    sampled = _sample_passing_sets(p, exact.value, sample, rng, cache)
-    failures = _projection_failures(p, min_sets, sides, "minimum")
-    failures += _projection_failures(p, sampled, sides, "sampled")
+    sampled = _sample_passing_sets(p, exact, sample, rng, IntervalCache(p.graph))
+    labeled = [("minimum", s) for s in min_sets] + [("sampled", s) for s in sampled]
+    failures = _projection_failures(p, labeled, sides)
     notes = (
         f"minimum_sets={len(min_sets)}",
         f"sampled_sets={len(sampled)}",
@@ -341,7 +341,7 @@ def _projection_report(
         g_order=p.left.order,
         h_name=p.right.name,
         h_order=p.right.order,
-        exact=exact.value,
+        exact=exact,
         lower=None,
         upper=None,
         construction_sizes={},
@@ -432,25 +432,78 @@ def check_cartesian_rectangle(
 
 
 # ---------------------------------------------------------------------------
+# Check table
+
+
+class ArgSource(NamedTuple):
+    """Where a check function's positional arguments come from."""
+
+    # The ``owc check`` flags that give the arguments, in order.
+    flags: tuple[str, ...]
+    # The argument tuples of a sweep, from the family pool and the config.
+    sweep: Callable[[list[Graph], SweepConfig], Iterable[tuple]]
+
+
+_UNORDERED_PAIRS = ArgSource(
+    ("left", "right"), lambda pool, cfg: ((g, h) for i, g in enumerate(pool) for h in pool[i:])
+)
+_ORDERED_PAIRS = ArgSource(("left", "right"), lambda pool, cfg: ((g, h) for g in pool for h in pool))
+_POOL_KN = ArgSource(("left", "n"), lambda pool, cfg: ((g, n) for g in pool for n in cfg.kn))
+_POOL_KMN = ArgSource(("left", "m", "n"), lambda pool, cfg: ((g, m, n) for g in pool for m, n in cfg.kmn))
+
+_SOLVER_OPTIONS = ("cap", "workers", "timings")
+_SAMPLING_OPTIONS = _SOLVER_OPTIONS + ("sample", "seed")
+
+
+class CheckRun(NamedTuple):
+    """One check function, the source of its arguments and the options it takes."""
+
+    # Looked up by name at call time, so a wrapper installed on the module
+    # attribute (a profiler or a test double) sees every call.
+    function: str
+    source: ArgSource
+    options: tuple[str, ...] = _SOLVER_OPTIONS
+    # An upper limit on the cap option, or None.
+    cap_limit: int | None = None
+
+
+CHECKS: dict[str, tuple[CheckRun, ...]] = {
+    "cartesian": (CheckRun("check_cartesian", _UNORDERED_PAIRS),),
+    "strong": (CheckRun("check_strong", _UNORDERED_PAIRS),),
+    "strong-kn": (CheckRun("check_strong_kn", _POOL_KN),),
+    "strong-kmn": (CheckRun("check_strong_kmn", _POOL_KMN),),
+    "lex": (CheckRun("check_lexicographic", _ORDERED_PAIRS),),
+    "projection": (
+        CheckRun("check_cartesian_projection", _UNORDERED_PAIRS, _SAMPLING_OPTIONS, PROJECTION_CAP),
+        CheckRun("check_lexico_projection", _ORDERED_PAIRS, _SAMPLING_OPTIONS, PROJECTION_CAP),
+    ),
+    "rectangle": (CheckRun("check_cartesian_rectangle", _UNORDERED_PAIRS, ("timings",)),),
+}
+
+
+def run_check(
+    name: str, arguments: Callable[[ArgSource], Iterable[tuple]], options: Mapping[str, object]
+) -> list[BoundReport]:
+    """Run each function of check ``name`` on every argument tuple ``arguments`` gives its source.
+
+    ``options`` holds cap, workers, timings, sample and seed; each function
+    takes the ones its table row names.
+    """
+    runs = CHECKS.get(name)
+    if runs is None:
+        raise ValueError(f"unknown check {name!r}")
+    reports = []
+    for run in runs:
+        fn = globals()[run.function]
+        kwargs = {key: options[key] for key in run.options}
+        if run.cap_limit is not None:
+            kwargs["cap"] = min(kwargs["cap"], run.cap_limit)
+        reports.extend(fn(*args, **kwargs) for args in arguments(run.source))
+    return reports
+
+
+# ---------------------------------------------------------------------------
 # Sweep configuration
-
-
-CHECK_NAMES = ("cartesian", "strong", "strong-kn", "strong-kmn", "lex", "projection", "rectangle")
-
-DEFAULT_CONFIG_TEXT = """\
-# Default sweep: the five bound checks over small families, product cap 20.
-cap=20
-seed=7
-sample=20
-checks=cartesian,strong,strong-kn,strong-kmn,lex
-family=path:2..4
-family=cycle:3..5
-family=complete:2..4
-family=star:3
-family=complete_bipartite:2,2
-kn=2,3
-kmn=2,2
-"""
 
 
 class ConfigError(ValueError):
@@ -459,6 +512,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep; the field defaults are the built-in default sweep."""
+
     cap: int = 20
     seed: int = 7
     sample: int = 20
@@ -482,11 +537,12 @@ def _parse_int(value: str, line: int, key: str) -> int:
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
-    cap, seed, sample = 20, 7, 20
-    checks: list[str] | None = None
-    families: list[str] | None = None
-    kn: list[int] | None = None
-    kmn: list[tuple[int, int]] | None = None
+    """Parse key=value lines; a key that never appears keeps its ``SweepConfig`` default.
+
+    ``family``, ``kn`` and ``kmn`` lines accumulate; a later ``cap``, ``seed``,
+    ``sample`` or ``checks`` line replaces an earlier one.
+    """
+    fields: dict = {}
     for i, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -496,35 +552,32 @@ def parse_sweep_config(text: str) -> SweepConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "cap":
-            cap = _parse_int(value, i, key)
-            if cap < 1:
+            fields["cap"] = _parse_int(value, i, key)
+            if fields["cap"] < 1:
                 raise ConfigError(f"line {i}: cap must be >= 1")
         elif key == "seed":
-            seed = _parse_int(value, i, key)
+            fields["seed"] = _parse_int(value, i, key)
         elif key == "sample":
-            sample = _parse_int(value, i, key)
-            if sample < 0:
+            fields["sample"] = _parse_int(value, i, key)
+            if fields["sample"] < 0:
                 raise ConfigError(f"line {i}: sample must be >= 0")
         elif key == "checks":
-            checks = [c.strip() for c in value.split(",") if c.strip()]
-            for c in checks:
-                if c not in CHECK_NAMES:
-                    raise ConfigError(
-                        f"line {i}: unknown check {c!r}; known: {', '.join(CHECK_NAMES)}"
-                    )
+            fields["checks"] = tuple(c.strip() for c in value.split(",") if c.strip())
+            for c in fields["checks"]:
+                if c not in CHECKS:
+                    raise ConfigError(f"line {i}: unknown check {c!r}; known: {', '.join(CHECKS)}")
         elif key == "family":
             try:
                 expand_family_spec(value)
             except ValueError as exc:
                 raise ConfigError(f"line {i}: bad family spec {value!r}: {exc}") from None
-            families = (families or []) + [value]
+            fields["families"] = fields.get("families", ()) + (value,)
         elif key == "kn":
-            kn = kn or []
             for tok in value.split(","):
                 v = _parse_int(tok.strip(), i, key)
                 if v < 2:
                     raise ConfigError(f"line {i}: kn values must be >= 2")
-                kn.append(v)
+                fields["kn"] = fields.get("kn", ()) + (v,)
         elif key == "kmn":
             parts = [t.strip() for t in value.split(",")]
             if len(parts) != 2:
@@ -532,23 +585,14 @@ def parse_sweep_config(text: str) -> SweepConfig:
             m, n = (_parse_int(t, i, key) for t in parts)
             if m < 2 or n < 2:
                 raise ConfigError(f"line {i}: kmn parts must be >= 2")
-            kmn = (kmn or []) + [(m, n)]
+            fields["kmn"] = fields.get("kmn", ()) + ((m, n),)
         else:
             raise ConfigError(f"line {i}: unknown key {key!r}")
-    base = SweepConfig()
-    return SweepConfig(
-        cap=cap,
-        seed=seed,
-        sample=sample,
-        checks=tuple(checks) if checks is not None else base.checks,
-        families=tuple(families) if families is not None else base.families,
-        kn=tuple(kn) if kn is not None else base.kn,
-        kmn=tuple(kmn) if kmn is not None else base.kmn,
-    )
+    return replace(SweepConfig(), **fields)
 
 
 def default_config() -> SweepConfig:
-    return parse_sweep_config(DEFAULT_CONFIG_TEXT)
+    return SweepConfig()
 
 
 def expand_family_spec(spec: str) -> list[Graph]:
@@ -588,65 +632,15 @@ def build_pool(cfg: SweepConfig) -> list[Graph]:
 # Sweep driver
 
 
-def _unordered_pairs(pool: list[Graph]) -> Iterator[tuple[Graph, Graph]]:
-    for i, g in enumerate(pool):
-        for h in pool[i:]:
-            yield g, h
-
-
-def _ordered_pairs(pool: list[Graph]) -> Iterator[tuple[Graph, Graph]]:
-    for g in pool:
-        for h in pool:
-            yield g, h
-
-
 def run_sweep(
     cfg: SweepConfig, *, workers: int = 1, timings: bool = False
 ) -> list[BoundReport]:
     """Run the configured checks over the family pool, in config order."""
     pool = build_pool(cfg)
+    options = {"cap": cfg.cap, "workers": workers, "timings": timings, "sample": cfg.sample, "seed": cfg.seed}
     reports: list[BoundReport] = []
     for name in cfg.checks:
-        if name == "cartesian":
-            for g, h in _unordered_pairs(pool):
-                reports.append(check_cartesian(g, h, cap=cfg.cap, workers=workers, timings=timings))
-        elif name == "strong":
-            for g, h in _unordered_pairs(pool):
-                reports.append(check_strong(g, h, cap=cfg.cap, workers=workers, timings=timings))
-        elif name == "strong-kn":
-            for g in pool:
-                for n in cfg.kn:
-                    reports.append(check_strong_kn(g, n, cap=cfg.cap, workers=workers, timings=timings))
-        elif name == "strong-kmn":
-            for g in pool:
-                for m, n in cfg.kmn:
-                    reports.append(
-                        check_strong_kmn(g, m, n, cap=cfg.cap, workers=workers, timings=timings)
-                    )
-        elif name == "lex":
-            for g, h in _ordered_pairs(pool):
-                reports.append(
-                    check_lexicographic(g, h, cap=cfg.cap, workers=workers, timings=timings)
-                )
-        elif name == "projection":
-            cap = min(cfg.cap, PROJECTION_CAP)
-            for g, h in _unordered_pairs(pool):
-                reports.append(
-                    check_cartesian_projection(
-                        g, h, cap=cap, workers=workers, sample=cfg.sample, seed=cfg.seed, timings=timings
-                    )
-                )
-            for g, h in _ordered_pairs(pool):
-                reports.append(
-                    check_lexico_projection(
-                        g, h, cap=cap, workers=workers, sample=cfg.sample, seed=cfg.seed, timings=timings
-                    )
-                )
-        elif name == "rectangle":
-            for g, h in _unordered_pairs(pool):
-                reports.append(check_cartesian_rectangle(g, h, timings=timings))
-        else:
-            raise ValueError(f"unknown check {name!r}")
+        reports += run_check(name, lambda source: source.sweep(pool, cfg), options)
     return reports
 
 

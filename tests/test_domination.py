@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -93,6 +94,23 @@ def test_numbers_match_naive_on_random_graphs():
     for g in random_pool(101, 25):
         assert domination_number(g).value == naive_domination_number(g)
         assert owc_domination_number(g).value == naive_owc_domination_number(g)
+
+
+def test_outer_convex_scan_matches_naive(monkeypatch):
+    # workers=2 runs every level through the process pool
+    monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
+    for g in FAMILIES + random_pool(61, 8, lo=5, hi=8):
+        hits = {
+            k: [c for c in itertools.combinations(range(g.order), k) if naive_ocon_dominating(g, c)]
+            for k in range(1, g.order + 1)
+        }
+        value = min(k for k, level in hits.items() if level)
+        for workers in (1, 2):
+            for k, level in hits.items():
+                got = sets_of_size(g, k, MODE_OCON, workers=workers)
+                assert [s.vertices() for s in got] == level, (g.name, k, workers)
+            res = outer_convex_domination_number(g, workers=workers)
+            assert (res.value, res.witness.vertices()) == (value, hits[value][0]), (g.name, workers)
 
 
 def test_known_values():

@@ -1,6 +1,8 @@
 import io
 import json
 import csv
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from owc.graphs import (
     star_graph,
 )
 from owc.harness import (
-    DEFAULT_CONFIG_TEXT,
+    CHECKS,
     REPORT_FIELDS,
     ConfigError,
     SweepConfig,
@@ -193,13 +195,33 @@ def test_projection_sampling_is_seeded():
     assert c.verdict == a.verdict  # same truth, possibly different samples
 
 
+def test_strong_checks_pass_the_cap_to_every_solve():
+    # gamma(K25) is solved with the given cap; the product itself is over it
+    r = check_strong(complete_graph(25), complete_graph(2), cap=30)
+    assert r.verdict == "SKIPPED_TOO_LARGE"
+    assert (r.lower, r.upper) == (1, 2)
+    r = check_strong_kmn(complete_graph(25), 2, 2, cap=30)
+    assert r.verdict == "SKIPPED_TOO_LARGE"
+    assert (r.lower, r.upper) == (2, 2)
+
+
 def test_timings_flag():
     r = check_cartesian(path_graph(2), path_graph(2), timings=True)
     assert isinstance(r.elapsed_ms, int) and r.elapsed_ms >= 0
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_default_config() -> str:
+    """The config block that the README documents as the built-in default."""
+    text = (ROOT / "README.md").read_text()
+    after = text.split("The built-in default config is:", 1)[1]
+    return after.split("```\n", 2)[1]
+
+
 def test_default_config_round_trip():
-    assert parse_sweep_config(DEFAULT_CONFIG_TEXT) == SweepConfig()
+    assert parse_sweep_config(readme_default_config()) == SweepConfig()
     assert default_config() == SweepConfig()
     pool = build_pool(default_config())
     assert [g.name for g in pool] == [
@@ -323,3 +345,13 @@ def test_serialization_is_byte_stable():
         write_reports(run_sweep(cfg), buf, fmt="jsonl")
         out.append(buf.getvalue())
     assert out[0] == out[1]
+
+
+def test_full_check_sweep_matches_reference_csv():
+    # Every check of the table over the default pool; bench/reference holds
+    # the CSV of this sweep, recorded before the check table existed.
+    cfg = replace(SweepConfig(), checks=tuple(CHECKS))
+    buf = io.StringIO()
+    write_reports(run_sweep(cfg, workers=1), buf, fmt="csv")
+    reference = (ROOT / "bench" / "reference" / "sweep_full.csv").read_bytes()
+    assert buf.getvalue().encode() == reference
