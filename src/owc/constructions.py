@@ -129,7 +129,7 @@ def strong_kn_slice(
     )
     _require(s.universe == p.left.order, "set must live in the left factor")
     _require(is_owc_dominating(p.left, s), f"{s} is not OWC dominating in the left factor")
-    minimum = owc_domination_number(p.left).value
+    minimum = owc_domination_number(p.left, cap=p.left.order).value
     _require(len(s) == minimum, f"|{s}| != minimum OWC domination size {minimum}")
     if h is None:
         h = _pick(list(range(p.right.order)), rng)
@@ -160,7 +160,7 @@ def strong_kmn_pair(
     _require(complete_cross, f"right factor {p.right.name!r} is not complete bipartite")
     _require(s_dom.universe == p.left.order, "set must live in the left factor")
     _require(is_dominating(p.left, s_dom), f"{s_dom} is not dominating in the left factor")
-    minimum = domination_number(p.left).value
+    minimum = domination_number(p.left, cap=p.left.order).value
     _require(len(s_dom) == minimum, f"|{s_dom}| != domination number {minimum}")
     if h is None:
         h = _pick(a, rng)
@@ -198,9 +198,9 @@ def lexico_anchor(
     _require(p.kind == LEXICOGRAPHIC, f"expected a lexicographic product, got {p.kind}")
     _require(s.universe == p.left.order, "set must live in the left factor")
     _require(is_owc_dominating(p.left, s), f"{s} is not OWC dominating in the left factor")
-    minimum = owc_domination_number(p.left).value
+    minimum = owc_domination_number(p.left, cap=p.left.order).value
     _require(len(s) == minimum, f"|{s}| != minimum OWC domination size {minimum}")
-    best_p = script_p(p.left)
+    best_p = script_p(p.left, cap=p.left.order)
     isolated = isolated_in_induced(p.left, s)
     _require(
         len(isolated) == best_p,

@@ -1,11 +1,13 @@
 """Domination predicates, exact minimum-set solvers, and isolated-vertex counts.
 
-The solver enumerates k-subsets in colexicographic order (Gosper's hack) for
-k = 1, 2, ... until a passing set exists, so minimality is by construction.
-Every level is scanned completely: the reported witness is the passing set
-whose sorted vertex list is lexicographically smallest, and a parallel run
-partitions the level into contiguous colex rank ranges and reduces to the
-same witness.
+The solver searches k-subsets for k = 1, 2, ... until a passing set exists,
+so minimality is by construction.  Each level is a depth-first search over
+sorted vertex prefixes in lex order that drops a prefix once no extension can
+dominate the graph, so the complement test runs on dominating sets only.
+The first passing set found is the one whose sorted vertex list is
+lexicographically smallest: the canonical witness.  A parallel run splits a
+level into contiguous ranges of least vertex and concatenates the parts in
+range order, which keeps lex order and the witness.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
+from typing import Iterator
 
 from .convexity import IntervalCache, is_convex, weakly_convex_bits
 from .graphs import Graph, VertexSet, is_connected, iter_bits
@@ -33,7 +37,10 @@ _PARALLEL_THRESHOLD = 50_000
 
 @dataclass(frozen=True)
 class OwcResult:
-    """Outcome of an exact minimum-set search."""
+    """Outcome of an exact minimum-set search.
+
+    ``examined`` counts whole levels, C(n,1) + ... + C(n,value), pruned or not.
+    """
 
     value: int
     witness: VertexSet
@@ -87,59 +94,71 @@ def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
 # Search engine
 
 
-def _next_colex(s: int) -> int:
-    # Gosper's hack: next integer with the same popcount.
-    u = s & -s
-    v = s + u
-    return v | (((s ^ v) // u) >> 2)
+def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | None = None) -> Iterator[int]:
+    """Passing k-subset masks whose least vertex lies in [lo, hi), in lex order of vertex lists.
 
-
-def _colex_unrank(rank: int, k: int) -> int:
-    """The k-subset mask at position ``rank`` of the colex (numeric) order."""
-    bits = 0
-    for i in range(k, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= rank:
-            c += 1
-        bits |= 1 << c
-        rank -= math.comb(c, i)
-    return bits
-
-
-def _scan_range(
-    cache: IntervalCache, k: int, start: int, count: int, mode: str
-) -> tuple[tuple[int, ...] | None, list[int]]:
-    """Scan ``count`` colex-consecutive k-subsets; return (best tuple, passing masks)."""
+    A depth-first search over sorted prefixes.  Once a prefix and every vertex
+    after its last one cannot dominate the graph, it and its later siblings are
+    dropped.  The last vertex is read off as the AND of the closed
+    neighbourhoods of the still undominated vertices, so the complement test
+    runs on dominating sets only.
+    """
     adj = cache.adj_bits
-    full = (1 << len(adj)) - 1
-    if mode == MODE_OWC:
+    n = len(adj)
+    full = (1 << n) - 1
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    # reach[v]: every vertex dominated by some w >= v
+    reach = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | closed[v]
+    if mode == MODE_DOMINATING:
+        outer_ok = None
+    elif mode == MODE_OWC:
         outer_ok = partial(weakly_convex_bits, adj, cache.ball_masks)
     else:
         outer_ok = cache.convex_bits
-    s = _colex_unrank(start, k)
-    best: tuple[int, ...] | None = None
-    found: list[int] = []
-    for _ in range(count):
-        cover = s
-        rest = s
-        while rest:
-            low = rest & -rest
-            cover |= adj[low.bit_length() - 1]
-            rest ^= low
-        if cover == full and (mode == MODE_DOMINATING or outer_ok(full ^ s)):
-            found.append(s)
-            t = tuple(iter_bits(s))
-            if best is None or t < best:
-                best = t
-        s = _next_colex(s)
-    return best, found
+
+    def extend(chosen: int, cover: int, start: int, stop: int, left: int) -> Iterator[int]:
+        if left == 1:
+            last = ((1 << stop) - 1) >> start << start
+            rest = full ^ cover
+            while rest and last:
+                low = rest & -rest
+                last &= closed[low.bit_length() - 1]
+                rest ^= low
+            while last:
+                low = last & -last
+                s = chosen | low
+                if outer_ok is None or outer_ok(full ^ s):
+                    yield s
+                last ^= low
+            return
+        for v in range(start, min(stop, n - left + 1)):
+            if cover | reach[v] != full:
+                return
+            yield from extend(chosen | 1 << v, cover | closed[v], v + 1, n, left - 1)
+
+    return extend(0, 0, lo, n if hi is None else hi, k)
 
 
-def _scan_worker(args: tuple[tuple[int, ...], str, int, int, int]) -> tuple[tuple[int, ...] | None, list[int]]:
-    adj, mode, k, start, count = args
+def _first_vertex_ranges(n: int, k: int, parts: int) -> list[tuple[int, int]]:
+    """Split the least vertex of a k-subset into contiguous ranges of about equal subset counts."""
+    total = math.comb(n, k)
+    ranges: list[tuple[int, int]] = []
+    lo = done = 0
+    for v in range(n - k + 1):
+        done += math.comb(n - 1 - v, k - 1)
+        if done * parts >= total * (len(ranges) + 1):
+            ranges.append((lo, v + 1))
+            lo = v + 1
+    return ranges
+
+
+def _scan_worker(args: tuple[tuple[int, ...], str, int, int, int, int | None]) -> list[int]:
+    adj, mode, k, lo, hi, limit = args
     order = len(adj)
     g = Graph(order, (VertexSet(order, b) for b in adj))
-    return _scan_range(IntervalCache(g), k, start, count, mode)
+    return list(islice(_level_hits(IntervalCache(g), k, mode, lo, hi), limit))
 
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
@@ -154,53 +173,39 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _scan_level(
-    cache: IntervalCache, k: int, mode: str, workers: int
-) -> tuple[tuple[int, ...] | None, list[int]]:
-    total = math.comb(cache.graph.order, k)
-    if workers <= 1 or total < _PARALLEL_THRESHOLD:
-        return _scan_range(cache, k, 0, total, mode)
-    chunk = (total + workers - 1) // workers
-    tasks = []
-    start = 0
-    adj = cache.adj_bits
-    while start < total:
-        count = min(chunk, total - start)
-        tasks.append((adj, mode, k, start, count))
-        start += count
-    best: tuple[int, ...] | None = None
-    found: list[int] = []
-    for part_best, part_found in _get_pool(workers).map(_scan_worker, tasks):
-        if part_best is not None and (best is None or part_best < best):
-            best = part_best
-        found.extend(part_found)
-    return best, found
+def _scan_level(cache: IntervalCache, k: int, mode: str, workers: int, limit: int | None) -> list[int]:
+    """The first ``limit`` passing k-subset masks in lex order (all of them for None)."""
+    n = cache.graph.order
+    if workers <= 1 or math.comb(n, k) < _PARALLEL_THRESHOLD:
+        return list(islice(_level_hits(cache, k, mode), limit))
+    tasks = [(cache.adj_bits, mode, k, lo, hi, limit) for lo, hi in _first_vertex_ranges(n, k, workers)]
+    found = [bits for part in _get_pool(workers).map(_scan_worker, tasks) for bits in part]
+    return found[:limit]
 
 
-def _require_solvable(g: Graph, cap: int) -> None:
+def _context(g: Graph, cap: int) -> IntervalCache:
+    """The search context of g, once g is connected and within the cap."""
     if g.order > cap:
         raise ValueError(
             f"order {g.order} exceeds the search cap {cap}; pass a larger cap (--cap) if intended"
         )
     if not is_connected(g):
         raise ValueError("graph is disconnected; minimum-set search requires a connected graph")
+    return IntervalCache(g)
 
 
-def _solve_min(g: Graph, mode: str, cap: int, workers: int) -> tuple[OwcResult, list[int]]:
-    _require_solvable(g, cap)
-    cache = IntervalCache(g)
+def _solve_min(
+    g: Graph, mode: str, cap: int, workers: int, limit: int | None = 1
+) -> tuple[OwcResult, list[int]]:
+    """The least level with a passing set, and the first ``limit`` passing masks on it."""
+    cache = _context(g, cap)
     t0 = time.perf_counter()
     examined = 0
     for k in range(1, g.order + 1):
-        best, found = _scan_level(cache, k, mode, workers)
+        found = _scan_level(cache, k, mode, workers, limit)
         examined += math.comb(g.order, k)
-        if best is not None:
-            bits = 0
-            for v in best:
-                bits |= 1 << v
-            witness = VertexSet(g.order, bits)
-            result = OwcResult(k, witness, examined, time.perf_counter() - t0)
-            return result, found
+        if found:
+            return OwcResult(k, VertexSet(g.order, found[0]), examined, time.perf_counter() - t0), found
     raise AssertionError("V(G) always passes; unreachable for connected graphs")
 
 
@@ -225,23 +230,18 @@ def outer_convex_domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers:
 
 def enumerate_min_owc_sets(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> list[VertexSet]:
     """All minimum outer-weakly convex dominating sets, sorted by vertex list."""
-    _, found = _solve_min(g, MODE_OWC, cap, workers)
-    sets = [VertexSet(g.order, bits) for bits in found]
-    sets.sort(key=lambda s: s.vertices())
-    return sets
+    _, found = _solve_min(g, MODE_OWC, cap, workers, limit=None)
+    return [VertexSet(g.order, bits) for bits in found]
 
 
 def sets_of_size(
     g: Graph, k: int, mode: str = MODE_OWC, *, cap: int = DEFAULT_CAP, workers: int = 1
 ) -> list[VertexSet]:
     """All k-subsets passing the given predicate mode, sorted by vertex list."""
-    _require_solvable(g, cap)
+    cache = _context(g, cap)
     if not 0 < k <= g.order:
         raise ValueError(f"size {k} out of range for order {g.order}")
-    _, found = _scan_level(IntervalCache(g), k, mode, workers)
-    sets = [VertexSet(g.order, bits) for bits in found]
-    sets.sort(key=lambda s: s.vertices())
-    return sets
+    return [VertexSet(g.order, bits) for bits in _scan_level(cache, k, mode, workers, None)]
 
 
 SCRIPT_P_WEAKLY_CONVEX = "weakly_convex"
@@ -269,9 +269,7 @@ def script_p(
         raise ValueError(f"unknown script_p mode {mode!r}")
     value = owc_domination_number(g, cap=cap, workers=workers).value
     candidates = sets_of_size(g, value, MODE_OCON, cap=cap, workers=workers)
-    if not candidates:
-        return None
-    return min(len(isolated_in_induced(g, s)) for s in candidates)
+    return min((len(isolated_in_induced(g, s)) for s in candidates), default=None)
 
 
 def script_p_realizer(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> tuple[VertexSet, int]:

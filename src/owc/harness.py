@@ -20,13 +20,14 @@ from . import constructions as recipes
 from .convexity import IntervalCache
 from .domination import (
     DEFAULT_CAP,
-    SCRIPT_P_CONVEX,
+    MODE_OCON,
     domination_number,
     enumerate_min_owc_sets,
     is_owc_dominating,
+    isolated_in_induced,
     owc_domination_number,
-    script_p,
     script_p_realizer,
+    sets_of_size,
 )
 from .graphs import (
     Graph,
@@ -263,7 +264,8 @@ def check_lexicographic(
     notes: list[str] = []
     if p_g == 0:
         notes.append("P_G=0: bounds coincide, equality forced")
-    p_convex = script_p(g, mode=SCRIPT_P_CONVEX, cap=cap)
+    convex_sets = sets_of_size(g, lower, MODE_OCON, cap=cap)
+    p_convex = min((len(isolated_in_induced(g, t)) for t in convex_sets), default=None)
     if p_convex != p_g:
         other = "none" if p_convex is None else str(p_convex)
         notes.append(f"P_G readings differ: weakly_convex={p_g}, convex={other}")

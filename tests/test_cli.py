@@ -102,6 +102,18 @@ def test_check_pass_and_exit_codes(capsys):
     assert "verdict=FAIL_LOWER" in out and "witness=(1,0)" in out
 
 
+def test_check_recipes_solve_a_factor_above_the_default_cap(capsys):
+    # the recipes re-solve the 25-vertex left factor; the product fits --cap 60
+    rc, out, err = run_cli(capsys, "check", "strong-kn", "--left", "complete:25", "--n", "2",
+                           "--cap", "60", "--workers", "1")
+    assert (rc, err) == (0, "")
+    assert out == "check_strong_kn K25 x K2: exact=1 bounds=[1,1] constructions=[kn_slice:1:ok] verdict=PASS witness=(0,0)\n"
+    rc, out, err = run_cli(capsys, "check", "lex", "--left", "complete:25", "--right", "complete:2",
+                           "--cap", "60", "--workers", "1")
+    assert (rc, err) == (0, "")
+    assert out == "check_lexicographic K25 x K2: exact=1 bounds=[1,2] constructions=[anchor:2:ok] verdict=PASS witness=(0,0)\n"
+
+
 def test_check_missing_argument(capsys):
     rc, _, err = run_cli(capsys, "check", "strong-kn", "--left", "path:3")
     assert rc == 2 and "--n" in err

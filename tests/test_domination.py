@@ -3,15 +3,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import owc.domination as dom
+from owc.convexity import IntervalCache
 from owc.domination import (
     MODE_DOMINATING,
     MODE_OCON,
     MODE_OWC,
     SCRIPT_P_CONVEX,
-    _colex_unrank,
-    _next_colex,
+    _level_hits,
     domination_number,
     enumerate_min_owc_sets,
     is_dominating,
@@ -33,6 +35,7 @@ from owc.graphs import (
     path_graph,
     star_graph,
 )
+from owc.products import cartesian
 
 from naive import (
     naive_convex,
@@ -209,18 +212,60 @@ def test_rejects_disconnected_and_oversize():
         owc_domination_number(path_graph(6), cap=5)
 
 
-def test_colex_iteration_and_unranking():
-    # colex order of 3-subsets of an 6-universe, smallest mask first
-    masks = []
-    s = (1 << 3) - 1
-    for _ in range(math.comb(6, 3)):
-        masks.append(s)
-        s = _next_colex(s)
-    assert masks == sorted(masks)
-    assert len(set(masks)) == len(masks)
-    assert all(bin(m).count("1") == 3 for m in masks)
-    for rank, mask in enumerate(masks):
-        assert _colex_unrank(rank, 3) == mask
+NAIVE_PREDICATES = {
+    MODE_DOMINATING: naive_dominating,
+    MODE_OWC: naive_owc_dominating,
+    MODE_OCON: naive_ocon_dominating,
+}
+
+
+def test_level_hits_are_the_passing_sets_in_lex_order():
+    for g in FAMILIES + random_pool(23, 12, lo=2, hi=9):
+        cache = IntervalCache(g)
+        for mode, predicate in NAIVE_PREDICATES.items():
+            for k in range(1, g.order + 1):
+                got = [VertexSet(g.order, bits).vertices() for bits in _level_hits(cache, k, mode)]
+                expect = [c for c in itertools.combinations(range(g.order), k) if predicate(g, c)]
+                assert got == expect, (g.name, mode, k)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A spanning tree (each vertex hangs off an earlier one) plus any extra edges."""
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    return graph_from_edge_list(n, sorted(edges))
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(connected_graphs())
+def test_solvers_match_naive_first_hit(g):
+    solvers = {
+        MODE_DOMINATING: domination_number,
+        MODE_OWC: owc_domination_number,
+        MODE_OCON: outer_convex_domination_number,
+    }
+    for mode, predicate in NAIVE_PREDICATES.items():
+        # the first passing subset in combinations order is the canonical witness
+        first = next(
+            c
+            for k in range(1, g.order + 1)
+            for c in itertools.combinations(range(g.order), k)
+            if predicate(g, c)
+        )
+        res = solvers[mode](g)
+        assert (res.value, res.witness.vertices()) == (len(first), first), mode
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_p6_p4_value_witness_and_examined(workers):
+    g = cartesian(path_graph(6), path_graph(4)).graph
+    res = owc_domination_number(g, workers=workers)
+    assert res.value == 11
+    assert res.witness.vertices() == (0, 1, 2, 8, 11, 12, 15, 16, 19, 20, 23)
+    assert res.examined == 7_036_529 == sum(math.comb(24, k) for k in range(1, 12))
 
 
 def test_parallel_scan_matches_serial(monkeypatch):
