@@ -22,9 +22,11 @@ from .graph6 import to_graph6
 from .graphs import format_edge_list, graph_from_spec
 from .harness import (
     CHECKS,
+    OPTION_MINIMUMS,
     SweepConfig,
     any_failures,
     parse_sweep_config,
+    require_minimum,
     run_check,
     run_sweep,
     write_reports,
@@ -174,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key in OPTION_MINIMUMS:
+            if getattr(args, key, None) is not None:
+                require_minimum(key, getattr(args, key), "--")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

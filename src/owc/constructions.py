@@ -8,7 +8,6 @@ that fails that test is a reportable event, not a bug here.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .domination import (
@@ -17,7 +16,7 @@ from .domination import (
     is_owc_dominating,
     isolated_in_induced,
     owc_domination_number,
-    script_p,
+    script_p_realizer,
 )
 from .graphs import Graph, VertexSet, is_complete_graph, iter_bits
 from .products import CARTESIAN, LEXICOGRAPHIC, STRONG, ProductGraph
@@ -42,10 +41,6 @@ class ConstructionSet:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise HypothesisError(message)
-
-
-def _pick(items: list[int], rng: random.Random | None) -> int:
-    return rng.choice(items) if rng is not None else items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +113,7 @@ def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
     return [v for v in range(g.order) if color[v] == 0], [v for v in range(g.order) if color[v] == 1]
 
 
-def strong_kn_slice(
-    p: ProductGraph, s: VertexSet, h: int | None = None, rng: random.Random | None = None
-) -> ConstructionSet:
+def strong_kn_slice(p: ProductGraph, s: VertexSet, h: int = 0) -> ConstructionSet:
     """S x {h} where s is a minimum OWC dominating set of G and the right factor is complete."""
     _require(p.kind == STRONG, f"expected a strong product, got {p.kind}")
     _require(
@@ -131,8 +124,6 @@ def strong_kn_slice(
     _require(is_owc_dominating(p.left, s), f"{s} is not OWC dominating in the left factor")
     minimum = owc_domination_number(p.left, cap=p.left.order).value
     _require(len(s) == minimum, f"|{s}| != minimum OWC domination size {minimum}")
-    if h is None:
-        h = _pick(list(range(p.right.order)), rng)
     _require(0 <= h < p.right.order, f"slice vertex {h} out of range")
     return ConstructionSet(
         vertices=p.subset((g, h) for g in s),
@@ -143,13 +134,12 @@ def strong_kn_slice(
 
 
 def strong_kmn_pair(
-    p: ProductGraph,
-    s_dom: VertexSet,
-    h: int | None = None,
-    h_prime: int | None = None,
-    rng: random.Random | None = None,
+    p: ProductGraph, s_dom: VertexSet, h: int | None = None, h_prime: int | None = None
 ) -> ConstructionSet:
-    """S x {h, h'} for a minimum dominating S of G and a cross edge hh' of K_{m,n}."""
+    """S x {h, h'} for a minimum dominating S of G and a cross edge hh' of K_{m,n}.
+
+    By default h is the first vertex of the first part and h' its least neighbor.
+    """
     _require(p.kind == STRONG, f"expected a strong product, got {p.kind}")
     parts = _bipartition(p.right)
     _require(parts is not None, f"right factor {p.right.name!r} is not bipartite")
@@ -163,10 +153,10 @@ def strong_kmn_pair(
     minimum = domination_number(p.left, cap=p.left.order).value
     _require(len(s_dom) == minimum, f"|{s_dom}| != domination number {minimum}")
     if h is None:
-        h = _pick(a, rng)
+        h = a[0]
     _require(0 <= h < p.right.order, f"vertex {h} out of range")
     if h_prime is None:
-        h_prime = _pick(sorted(iter_bits(adj[h])), rng)
+        h_prime = next(iter_bits(adj[h]))
     _require(
         0 <= h_prime < p.right.order and adj[h] >> h_prime & 1,
         f"{h}{h_prime} is not an edge of the right factor",
@@ -185,10 +175,8 @@ def strong_kmn_pair(
 # vertices into a single right-coordinate.
 
 
-def lexico_anchor(
-    p: ProductGraph, s: VertexSet, h: int = 0, rng: random.Random | None = None
-) -> ConstructionSet:
-    """(S x {h}) with a chosen neighbor added for each vertex isolated in <S>.
+def lexico_anchor(p: ProductGraph, s: VertexSet, h: int = 0) -> ConstructionSet:
+    """(S x {h}) with the least neighbor added for each vertex isolated in <S>.
 
     Requires s to be a minimum OWC dominating set of the left factor whose
     induced-isolated count attains the factor's minimum over all such sets.
@@ -198,9 +186,8 @@ def lexico_anchor(
     _require(p.kind == LEXICOGRAPHIC, f"expected a lexicographic product, got {p.kind}")
     _require(s.universe == p.left.order, "set must live in the left factor")
     _require(is_owc_dominating(p.left, s), f"{s} is not OWC dominating in the left factor")
-    minimum = owc_domination_number(p.left, cap=p.left.order).value
-    _require(len(s) == minimum, f"|{s}| != minimum OWC domination size {minimum}")
-    best_p = script_p(p.left, cap=p.left.order)
+    realizer, best_p = script_p_realizer(p.left, cap=p.left.order)
+    _require(len(s) == len(realizer), f"|{s}| != minimum OWC domination size {len(realizer)}")
     isolated = isolated_in_induced(p.left, s)
     _require(
         len(isolated) == best_p,
@@ -208,9 +195,7 @@ def lexico_anchor(
     )
     _require(0 <= h < p.right.order, f"anchor vertex {h} out of range")
     adj = p.left.adjacency_bits()
-    anchors: dict[int, int] = {}
-    for v in isolated:
-        anchors[v] = _pick(sorted(iter_bits(adj[v])), rng)
+    anchors = {v: next(iter_bits(adj[v])) for v in isolated}
     pairs = [(g, h) for g in s] + [(w, h) for w in anchors.values()]
     return ConstructionSet(
         vertices=p.subset(pairs),

@@ -3,8 +3,9 @@
 Every checker returns a BoundReport and treats claims as falsifiable: a
 construction or projection that fails its predicate produces a FAIL verdict
 with a serialized counterexample instead of raising.  Reports are
-deterministic; elapsed_ms stays null unless timings are requested, so runs
-with the same inputs compare byte for byte.
+deterministic: the checks never read a clock, and only ``run_check`` stamps
+elapsed_ms, when its options ask for timings (``owc --timings``), so runs with
+the same inputs compare byte for byte.
 """
 
 from __future__ import annotations
@@ -103,20 +104,17 @@ def _verdict(exact: int | None, lower: int | None, upper: int | None, ok: dict[s
     return PASS
 
 
-def _elapsed_ms(t0: float, timings: bool) -> int | None:
-    return round((time.perf_counter() - t0) * 1000) if timings else None
-
-
-def _skip_report(
-    check: str,
-    p: ProductGraph,
-    cap: int,
-    *,
-    lower: int | None = None,
-    upper: int | None = None,
-    t0: float = 0.0,
-    timings: bool = False,
-) -> BoundReport:
+def _report(check: str, p: ProductGraph, verdict: str, **fields) -> BoundReport:
+    """The one BoundReport constructor: factor fields from ``p``, any field not given empty."""
+    empty = {
+        "exact": None,
+        "lower": None,
+        "upper": None,
+        "construction_sizes": {},
+        "construction_ok": {},
+        "elapsed_ms": None,
+        "witness": "",
+    }
     return BoundReport(
         check=check,
         kind=p.kind,
@@ -124,16 +122,14 @@ def _skip_report(
         g_order=p.left.order,
         h_name=p.right.name,
         h_order=p.right.order,
-        exact=None,
-        lower=lower,
-        upper=upper,
-        construction_sizes={},
-        construction_ok={},
-        verdict=SKIPPED_TOO_LARGE,
-        elapsed_ms=_elapsed_ms(t0, timings),
-        witness="",
-        notes=(f"product order {p.order} exceeds cap {cap}",),
+        verdict=verdict,
+        **{**empty, **fields},
     )
+
+
+def _skip_report(check: str, p: ProductGraph, cap: int, **fields) -> BoundReport:
+    notes = (f"product order {p.order} exceeds cap {cap}",)
+    return _report(check, p, SKIPPED_TOO_LARGE, notes=notes, **fields)
 
 
 def _bound_report(
@@ -145,29 +141,21 @@ def _bound_report(
     notes: list[str],
     cap: int,
     workers: int,
-    t0: float,
-    timings: bool,
 ) -> BoundReport:
-    sizes = {cs.recipe: cs.size for cs in built}
     ok = {cs.recipe: recipes.verify_on_product(p, cs) for cs in built}
     exact = owc_domination_number(p.graph, cap=cap, workers=workers)
     for cs in built:
         if cs.size != cs.expected_size:
             notes.append(f"{cs.recipe}: built size {cs.size} below closed form {cs.expected_size}")
-    return BoundReport(
-        check=check,
-        kind=p.kind,
-        g_name=p.left.name,
-        g_order=p.left.order,
-        h_name=p.right.name,
-        h_order=p.right.order,
+    return _report(
+        check,
+        p,
+        _verdict(exact.value, lower, upper, ok),
         exact=exact.value,
         lower=lower,
         upper=upper,
-        construction_sizes=sizes,
+        construction_sizes={cs.recipe: cs.size for cs in built},
         construction_ok=ok,
-        verdict=_verdict(exact.value, lower, upper, ok),
-        elapsed_ms=_elapsed_ms(t0, timings),
         witness=format_product_set(p, exact.witness),
         notes=tuple(notes),
     )
@@ -177,11 +165,8 @@ def _bound_report(
 # Bound checks
 
 
-def check_cartesian(
-    g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1, timings: bool = False
-) -> BoundReport:
+def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """min{m,n} <= gamma_wcon(G box H) <= min{gamma_wcon(G)*n, gamma_wcon(H)*m}."""
-    t0 = time.perf_counter()
     p = cartesian(g, h)
     rg = owc_domination_number(g, cap=cap)
     rh = owc_domination_number(h, cap=cap)
@@ -192,53 +177,44 @@ def check_cartesian(
         tail = f"; bounds force gamma_wcon={lower}" if lower == upper else ""
         notes.append("complete factor: ceil(n/m) remark hypothesis is vacuous" + tail)
     if p.order > cap:
-        return _skip_report("check_cartesian", p, cap, lower=lower, upper=upper, t0=t0, timings=timings)
+        return _skip_report("check_cartesian", p, cap, lower=lower, upper=upper)
     built = [
         recipes.cartesian_left_cover(p, rg.witness),
         recipes.cartesian_right_cover(p, rh.witness),
     ]
-    return _bound_report("check_cartesian", p, built, lower, upper, notes, cap, workers, t0, timings)
+    return _bound_report("check_cartesian", p, built, lower, upper, notes, cap, workers)
 
 
-def check_strong(
-    g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1, timings: bool = False
-) -> BoundReport:
+def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """max{gamma(G),gamma(H)} <= gamma_wcon(G strong H) <= min{gamma_wcon(G)*n, gamma_wcon(H)*m}."""
-    t0 = time.perf_counter()
     p = strong(g, h)
     rg = owc_domination_number(g, cap=cap)
     rh = owc_domination_number(h, cap=cap)
     lower = max(domination_number(g, cap=cap).value, domination_number(h, cap=cap).value)
     upper = min(rg.value * h.order, rh.value * g.order)
     if p.order > cap:
-        return _skip_report("check_strong", p, cap, lower=lower, upper=upper, t0=t0, timings=timings)
+        return _skip_report("check_strong", p, cap, lower=lower, upper=upper)
     built = [
         recipes.strong_left_cover(p, rg.witness),
         recipes.strong_right_cover(p, rh.witness),
     ]
-    return _bound_report("check_strong", p, built, lower, upper, [], cap, workers, t0, timings)
+    return _bound_report("check_strong", p, built, lower, upper, [], cap, workers)
 
 
-def check_strong_kn(
-    g: Graph, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1, timings: bool = False
-) -> BoundReport:
+def check_strong_kn(g: Graph, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """gamma_wcon(G strong K_n) equals gamma_wcon(G)."""
-    t0 = time.perf_counter()
     p = strong(g, complete_graph(n))
     rg = owc_domination_number(g, cap=cap)
     if p.order > cap:
-        return _skip_report("check_strong_kn", p, cap, lower=rg.value, upper=rg.value, t0=t0, timings=timings)
+        return _skip_report("check_strong_kn", p, cap, lower=rg.value, upper=rg.value)
     built = [recipes.strong_kn_slice(p, rg.witness)]
-    return _bound_report("check_strong_kn", p, built, rg.value, rg.value, [], cap, workers, t0, timings)
+    return _bound_report("check_strong_kn", p, built, rg.value, rg.value, [], cap, workers)
 
 
-def check_strong_kmn(
-    g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1, timings: bool = False
-) -> BoundReport:
+def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """gamma_wcon(G strong K_{m,n}) <= 2*gamma(G) for m,n >= 2; equality 2 for complete G."""
     if m < 2 or n < 2:
         raise ValueError(f"both parts must be >= 2, got {m},{n}")
-    t0 = time.perf_counter()
     p = strong(g, complete_bipartite_graph(m, n))
     dg = domination_number(g, cap=cap)
     upper = 2 * dg.value
@@ -247,16 +223,13 @@ def check_strong_kmn(
     if is_complete_graph(g):
         notes.append("complete G: sharpness expects exact=2")
     if p.order > cap:
-        return _skip_report("check_strong_kmn", p, cap, lower=lower, upper=upper, t0=t0, timings=timings)
+        return _skip_report("check_strong_kmn", p, cap, lower=lower, upper=upper)
     built = [recipes.strong_kmn_pair(p, dg.witness)]
-    return _bound_report("check_strong_kmn", p, built, lower, upper, notes, cap, workers, t0, timings)
+    return _bound_report("check_strong_kmn", p, built, lower, upper, notes, cap, workers)
 
 
-def check_lexicographic(
-    g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1, timings: bool = False
-) -> BoundReport:
+def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """gamma_wcon(G) <= gamma_wcon(G lex H) <= gamma_wcon(G) + P_G."""
-    t0 = time.perf_counter()
     p = lexicographic(g, h)
     s, p_g = script_p_realizer(g, cap=cap)
     lower = len(s)
@@ -270,9 +243,9 @@ def check_lexicographic(
         other = "none" if p_convex is None else str(p_convex)
         notes.append(f"P_G readings differ: weakly_convex={p_g}, convex={other}")
     if p.order > cap:
-        return _skip_report("check_lexicographic", p, cap, lower=lower, upper=upper, t0=t0, timings=timings)
+        return _skip_report("check_lexicographic", p, cap, lower=lower, upper=upper)
     built = [recipes.lexico_anchor(p, s)]
-    return _bound_report("check_lexicographic", p, built, lower, upper, notes, cap, workers, t0, timings)
+    return _bound_report("check_lexicographic", p, built, lower, upper, notes, cap, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -313,93 +286,52 @@ def _sample_passing_sets(
 
 
 def _projection_report(
-    check: str,
-    p: ProductGraph,
-    sides: tuple[str, ...],
-    cap: int,
-    workers: int,
-    sample: int,
-    seed: int,
-    t0: float,
-    timings: bool,
+    check: str, p: ProductGraph, sides: tuple[str, ...], cap: int, workers: int, sample: int, seed: int
 ) -> BoundReport:
     if p.order > cap:
-        return _skip_report(check, p, cap, t0=t0, timings=timings)
+        return _skip_report(check, p, cap)
     min_sets = enumerate_min_owc_sets(p.graph, cap=cap, workers=workers)
     exact = len(min_sets[0])
     rng = random.Random(f"{seed}:{check}:{p.graph.name}")
     sampled = _sample_passing_sets(p, exact, sample, rng, IntervalCache(p.graph))
     labeled = [("minimum", s) for s in min_sets] + [("sampled", s) for s in sampled]
     failures = _projection_failures(p, labeled, sides)
-    notes = (
-        f"minimum_sets={len(min_sets)}",
-        f"sampled_sets={len(sampled)}",
-        f"falsifications={len(failures)}",
-    )
-    return BoundReport(
-        check=check,
-        kind=p.kind,
-        g_name=p.left.name,
-        g_order=p.left.order,
-        h_name=p.right.name,
-        h_order=p.right.order,
+    return _report(
+        check,
+        p,
+        PASS if not failures else FAIL_CONSTRUCTION,
         exact=exact,
-        lower=None,
-        upper=None,
-        construction_sizes={},
-        construction_ok={},
-        verdict=PASS if not failures else FAIL_CONSTRUCTION,
-        elapsed_ms=_elapsed_ms(t0, timings),
         witness=failures[0] if failures else "",
-        notes=notes,
+        notes=(
+            f"minimum_sets={len(min_sets)}",
+            f"sampled_sets={len(sampled)}",
+            f"falsifications={len(failures)}",
+        ),
     )
 
 
 def check_cartesian_projection(
-    g: Graph,
-    h: Graph,
-    *,
-    cap: int = PROJECTION_CAP,
-    workers: int = 1,
-    sample: int = 20,
-    seed: int = 7,
-    timings: bool = False,
+    g: Graph, h: Graph, *, cap: int = PROJECTION_CAP, workers: int = 1, sample: int = 20, seed: int = 7
 ) -> BoundReport:
     """Projections of OWC dominating sets of G box H are OWC dominating in both factors."""
-    t0 = time.perf_counter()
     p = cartesian(g, h)
-    return _projection_report(
-        "check_cartesian_projection", p, ("left", "right"), cap, workers, sample, seed, t0, timings
-    )
+    return _projection_report("check_cartesian_projection", p, ("left", "right"), cap, workers, sample, seed)
 
 
 def check_lexico_projection(
-    g: Graph,
-    h: Graph,
-    *,
-    cap: int = PROJECTION_CAP,
-    workers: int = 1,
-    sample: int = 20,
-    seed: int = 7,
-    timings: bool = False,
+    g: Graph, h: Graph, *, cap: int = PROJECTION_CAP, workers: int = 1, sample: int = 20, seed: int = 7
 ) -> BoundReport:
     """Left projections of OWC dominating sets of G lex H are OWC dominating in G."""
-    t0 = time.perf_counter()
     p = lexicographic(g, h)
-    return _projection_report(
-        "check_lexico_projection", p, ("left",), cap, workers, sample, seed, t0, timings
-    )
+    return _projection_report("check_lexico_projection", p, ("left",), cap, workers, sample, seed)
 
 
-def check_cartesian_rectangle(
-    g: Graph, h: Graph, *, factor_cap: int = RECTANGLE_FACTOR_CAP, timings: bool = False
-) -> BoundReport:
+def check_cartesian_rectangle(g: Graph, h: Graph, *, factor_cap: int = RECTANGLE_FACTOR_CAP) -> BoundReport:
     """No rectangle S1 x S2 with both factors proper is OWC dominating in G box H."""
-    t0 = time.perf_counter()
     p = cartesian(g, h)
     if g.order > factor_cap or h.order > factor_cap:
-        report = _skip_report("check_cartesian_rectangle", p, factor_cap, t0=t0, timings=timings)
-        return replace(report, notes=(f"factor order exceeds cap {factor_cap}",))
+        notes = (f"factor order exceeds cap {factor_cap}",)
+        return _report("check_cartesian_rectangle", p, SKIPPED_TOO_LARGE, notes=notes)
     cache = IntervalCache(p.graph)
     n = h.order
     failures = []
@@ -414,20 +346,10 @@ def check_cartesian_rectangle(
                 failures.append(
                     f"S1={VertexSet(g.order, s1)} S2={VertexSet(h.order, s2)} rectangle passes"
                 )
-    return BoundReport(
-        check="check_cartesian_rectangle",
-        kind=p.kind,
-        g_name=g.name,
-        g_order=g.order,
-        h_name=h.name,
-        h_order=h.order,
-        exact=None,
-        lower=None,
-        upper=None,
-        construction_sizes={},
-        construction_ok={},
-        verdict=PASS if not failures else FAIL_CONSTRUCTION,
-        elapsed_ms=_elapsed_ms(t0, timings),
+    return _report(
+        "check_cartesian_rectangle",
+        p,
+        PASS if not failures else FAIL_CONSTRUCTION,
         witness=failures[0] if failures else "",
         notes=(f"rectangles_checked={checked}", f"falsifications={len(failures)}"),
     )
@@ -453,7 +375,7 @@ _ORDERED_PAIRS = ArgSource(("left", "right"), lambda pool, cfg: ((g, h) for g in
 _POOL_KN = ArgSource(("left", "n"), lambda pool, cfg: ((g, n) for g in pool for n in cfg.kn))
 _POOL_KMN = ArgSource(("left", "m", "n"), lambda pool, cfg: ((g, m, n) for g in pool for m, n in cfg.kmn))
 
-_SOLVER_OPTIONS = ("cap", "workers", "timings")
+_SOLVER_OPTIONS = ("cap", "workers")
 _SAMPLING_OPTIONS = _SOLVER_OPTIONS + ("sample", "seed")
 
 
@@ -479,7 +401,7 @@ CHECKS: dict[str, tuple[CheckRun, ...]] = {
         CheckRun("check_cartesian_projection", _UNORDERED_PAIRS, _SAMPLING_OPTIONS, PROJECTION_CAP),
         CheckRun("check_lexico_projection", _ORDERED_PAIRS, _SAMPLING_OPTIONS, PROJECTION_CAP),
     ),
-    "rectangle": (CheckRun("check_cartesian_rectangle", _UNORDERED_PAIRS, ("timings",)),),
+    "rectangle": (CheckRun("check_cartesian_rectangle", _UNORDERED_PAIRS, ()),),
 }
 
 
@@ -489,7 +411,8 @@ def run_check(
     """Run each function of check ``name`` on every argument tuple ``arguments`` gives its source.
 
     ``options`` holds cap, workers, timings, sample and seed; each function
-    takes the ones its table row names.
+    takes the ones its table row names.  With ``timings`` set, each report's
+    elapsed_ms is the wall time of its call.
     """
     runs = CHECKS.get(name)
     if runs is None:
@@ -500,7 +423,12 @@ def run_check(
         kwargs = {key: options[key] for key in run.options}
         if run.cap_limit is not None:
             kwargs["cap"] = min(kwargs["cap"], run.cap_limit)
-        reports.extend(fn(*args, **kwargs) for args in arguments(run.source))
+        for args in arguments(run.source):
+            t0 = time.perf_counter()
+            report = fn(*args, **kwargs)
+            if options["timings"]:
+                report = replace(report, elapsed_ms=round((time.perf_counter() - t0) * 1000))
+            reports.append(report)
     return reports
 
 
@@ -509,7 +437,19 @@ def run_check(
 
 
 class ConfigError(ValueError):
-    """A sweep config line failed to parse."""
+    """A sweep config line or a command-line option failed to parse."""
+
+
+# The least value of each numeric option, checked on config lines and on
+# command-line flags alike.
+OPTION_MINIMUMS = {"cap": 1, "sample": 0, "workers": 1}
+
+
+def require_minimum(key: str, value: int, where: str) -> int:
+    """Return ``value``, or raise ConfigError if it is below the minimum of option ``key``."""
+    if value < OPTION_MINIMUMS[key]:
+        raise ConfigError(f"{where}{key} must be >= {OPTION_MINIMUMS[key]}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -553,16 +493,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {i}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "cap":
-            fields["cap"] = _parse_int(value, i, key)
-            if fields["cap"] < 1:
-                raise ConfigError(f"line {i}: cap must be >= 1")
+        if key in ("cap", "sample"):
+            fields[key] = require_minimum(key, _parse_int(value, i, key), f"line {i}: ")
         elif key == "seed":
             fields["seed"] = _parse_int(value, i, key)
-        elif key == "sample":
-            fields["sample"] = _parse_int(value, i, key)
-            if fields["sample"] < 0:
-                raise ConfigError(f"line {i}: sample must be >= 0")
         elif key == "checks":
             fields["checks"] = tuple(c.strip() for c in value.split(",") if c.strip())
             for c in fields["checks"]:

@@ -178,6 +178,31 @@ def test_sweep_bad_config(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_rejects_out_of_range_overrides(tmp_path, capsys):
+    # the flags obey the same minimums as the config lines
+    rc, out, err = run_cli(capsys, "sweep", "--sample", "-3")
+    assert (rc, out) == (2, "") and "--sample must be >= 0" in err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("checks=projection\n")
+    rc, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--cap", "0")
+    assert (rc, out) == (2, "") and "--cap must be >= 1" in err
+
+
+def test_check_rejects_out_of_range_options(capsys):
+    rc, out, err = run_cli(capsys, "check", "projection", "--left", "path:2", "--right", "path:2",
+                           "--sample", "-4")
+    assert (rc, out) == (2, "") and "--sample must be >= 0" in err
+    rc, out, err = run_cli(capsys, "check", "cartesian", "--left", "path:2", "--right", "path:2",
+                           "--cap", "0")
+    assert (rc, out) == (2, "") and "--cap must be >= 1" in err
+
+
+def test_compute_rejects_out_of_range_workers(capsys):
+    for workers in ("0", "-3"):
+        rc, out, err = run_cli(capsys, "compute", "--family", "cycle:4", "--workers", workers)
+        assert (rc, out) == (2, "") and "--workers must be >= 1" in err
+
+
 def test_help_and_usage_exits():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from owc.constructions import (
@@ -83,10 +81,6 @@ def test_kn_slice():
     assert verify_on_product(p, cs)
     # default slice coordinate is 0
     assert strong_kn_slice(p, s).ingredients["h"] == 0
-    # the rng variant is reproducible
-    a = strong_kn_slice(p, s, rng=random.Random(4))
-    b = strong_kn_slice(p, s, rng=random.Random(4))
-    assert a == b and a.ingredients == b.ingredients
 
 
 def test_kn_slice_builds_even_when_bound_fails():
@@ -168,7 +162,8 @@ def test_lexico_anchor():
 
 
 def test_lexico_anchor_rejects():
-    g = path_graph(5)  # minimum OWC sets differ in isolated counts
+    # P5's minimum OWC sets are {0,1,4} and {0,3,4}, each with one isolated vertex
+    g = path_graph(5)
     p = lexicographic(g, complete_graph(2))
     with pytest.raises(HypothesisError, match="lexicographic"):
         lexico_anchor(strong(g, complete_graph(2)), min_owc_witness(g))
@@ -179,6 +174,11 @@ def test_lexico_anchor_rejects():
         lexico_anchor(p, VertexSet.of(5, [0, 1, 3, 4]))
     with pytest.raises(HypothesisError, match="out of range"):
         lexico_anchor(p, VertexSet.of(5, [0, 1, 4]), h=5)
+    # P6's minimum OWC sets have isolated counts 1, 0 and 1: P_G is 0, so a
+    # minimum set with one isolated vertex does not attain it
+    p = lexicographic(path_graph(6), complete_graph(2))
+    with pytest.raises(HypothesisError, match="has 1 induced-isolated vertices; the minimum is 0"):
+        lexico_anchor(p, VertexSet.of(6, [0, 1, 2, 5]))
 
 
 def test_construction_set_equality_ignores_ingredients():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from owc.cli import main
 from owc.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -205,9 +206,18 @@ def test_strong_checks_pass_the_cap_to_every_solve():
     assert (r.lower, r.upper) == (2, 2)
 
 
-def test_timings_flag():
-    r = check_cartesian(path_graph(2), path_graph(2), timings=True)
-    assert isinstance(r.elapsed_ms, int) and r.elapsed_ms >= 0
+def test_timings_flag(capsys):
+    # run_check stamps elapsed_ms when timings are asked for, and only then
+    argv = ["check", "cartesian", "--left", "path:2", "--right", "path:2", "--format", "jsonl"]
+    assert main(argv + ["--timings"]) == 0
+    elapsed = json.loads(capsys.readouterr().out)["elapsed_ms"]
+    assert isinstance(elapsed, int) and elapsed >= 0
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["elapsed_ms"] is None
+    cfg = parse_sweep_config(TINY)
+    timed = run_sweep(cfg, timings=True)
+    assert timed and all(isinstance(r.elapsed_ms, int) and r.elapsed_ms >= 0 for r in timed)
+    assert all(r.elapsed_ms is None for r in run_sweep(cfg))
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -347,11 +357,34 @@ def test_serialization_is_byte_stable():
     assert out[0] == out[1]
 
 
-def test_full_check_sweep_matches_reference_csv():
-    # Every check of the table over the default pool; bench/reference holds
-    # the CSV of this sweep, recorded before the check table existed.
-    cfg = replace(SweepConfig(), checks=tuple(CHECKS))
+@pytest.fixture(scope="module")
+def full_check_reports():
+    """Every check of the table over the default pool."""
+    return run_sweep(replace(SweepConfig(), checks=tuple(CHECKS)), workers=1)
+
+
+def rendered(reports, fmt: str) -> bytes:
     buf = io.StringIO()
-    write_reports(run_sweep(cfg, workers=1), buf, fmt="csv")
+    write_reports(reports, buf, fmt=fmt)
+    return buf.getvalue().encode()
+
+
+def test_full_check_sweep_matches_reference_csv(full_check_reports):
+    # bench/reference holds the CSV of this sweep, recorded before the check
+    # table existed.
     reference = (ROOT / "bench" / "reference" / "sweep_full.csv").read_bytes()
-    assert buf.getvalue().encode() == reference
+    assert rendered(full_check_reports, "csv") == reference
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "sweep_full.txt"), ("jsonl", "sweep_full.jsonl")])
+def test_full_check_sweep_matches_golden(full_check_reports, fmt, name):
+    # tests/golden holds `owc sweep --workers 1` of this sweep, recorded before
+    # the report builder existed; only the text format carries the notes.
+    assert rendered(full_check_reports, fmt) == (ROOT / "tests" / "golden" / name).read_bytes()
+
+
+def test_default_sweep_text_is_the_golden_prefix():
+    # The default sweep is the first five checks of the full-check sweep.
+    golden = (ROOT / "tests" / "golden" / "sweep_full.txt").read_bytes()
+    expected = b"".join(golden.splitlines(keepends=True)[:286])
+    assert rendered(run_sweep(SweepConfig(), workers=1), "text") == expected
