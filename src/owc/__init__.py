@@ -27,7 +27,7 @@ from .domination import (
     script_p,
     script_p_realizer,
 )
-from .graph6 import Graph6Error, graph_from_graph6, load_graph6_file, to_graph6
+from .graph6 import Graph6Error, graph_from_graph6, to_graph6
 from .graphs import (
     DistanceMatrix,
     Graph,
@@ -57,7 +57,6 @@ from .harness import (
     check_strong,
     check_strong_kmn,
     check_strong_kn,
-    default_config,
     parse_sweep_config,
     run_sweep,
     write_reports,

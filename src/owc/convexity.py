@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import UNREACHABLE, DistanceMatrix, Graph, VertexSet, distance_matrix, iter_bits
+from .graphs import UNREACHABLE, Graph, VertexSet, distance_matrix, iter_bits
 
 
 class IntervalCache:
@@ -29,9 +29,9 @@ class IntervalCache:
     results of whole solves are not cached.
     """
 
-    def __init__(self, g: Graph, dm: DistanceMatrix | None = None):
+    def __init__(self, g: Graph):
         self.graph = g
-        self.dm = dm if dm is not None else distance_matrix(g)
+        self.dm = distance_matrix(g)
         self.adj_bits = g.adjacency_bits()
         self._intervals: dict[tuple[int, int], int] = {}
         self._levels: list[list[int]] | None = None

@@ -274,11 +274,5 @@ def script_p(
 
 def script_p_realizer(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> tuple[VertexSet, int]:
     """A canonical minimum OWC dominating set with the fewest induced-isolated vertices."""
-    best_set: VertexSet | None = None
-    best_p = -1
-    for s in enumerate_min_owc_sets(g, cap=cap, workers=workers):
-        p = len(isolated_in_induced(g, s))
-        if best_set is None or p < best_p:
-            best_set, best_p = s, p
-    assert best_set is not None
-    return best_set, best_p
+    scored = ((s, len(isolated_in_induced(g, s))) for s in enumerate_min_owc_sets(g, cap=cap, workers=workers))
+    return min(scored, key=lambda sp: sp[1])

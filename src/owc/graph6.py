@@ -103,14 +103,3 @@ def to_graph6(g: Graph) -> str:
     for i in range(nbytes - 1, -1, -1):
         chars.append(chr(((bits >> (6 * i)) & 0x3F) + 63))
     return prefix + "".join(chars)
-
-
-def load_graph6_file(path: str) -> list[Graph]:
-    """Read one graph per nonempty line."""
-    graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(graph_from_graph6(line))
-    return graphs

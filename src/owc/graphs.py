@@ -398,7 +398,9 @@ def load_graph_file(path: str) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     if path.endswith(".g6"):
-        line = text.strip().splitlines()[0] if text.strip() else ""
-        g = graph6.graph_from_graph6(line)
+        lines = text.split()
+        if len(lines) > 1:
+            raise ValueError(f"{path} holds {len(lines)} graphs; expected one")
+        g = graph6.graph_from_graph6("".join(lines))
         return Graph(g.order, g.adjacency, name=path)
     return parse_edge_list(text, name=path)

@@ -11,6 +11,7 @@ the same inputs compare byte for byte.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import random
 import time
@@ -132,6 +133,14 @@ def _skip_report(check: str, p: ProductGraph, cap: int, **fields) -> BoundReport
     return _report(check, p, SKIPPED_TOO_LARGE, notes=notes, **fields)
 
 
+def _factor_skip(check: str, p: ProductGraph, solved: tuple[Graph, ...], cap: int) -> BoundReport | None:
+    """A skip report without bounds when a factor the check solves is above ``cap``, else None."""
+    for f in solved:
+        if f.order > cap:
+            return _report(check, p, SKIPPED_TOO_LARGE, notes=(f"factor order {f.order} exceeds cap {cap}",))
+    return None
+
+
 def _bound_report(
     check: str,
     p: ProductGraph,
@@ -168,6 +177,8 @@ def _bound_report(
 def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """min{m,n} <= gamma_wcon(G box H) <= min{gamma_wcon(G)*n, gamma_wcon(H)*m}."""
     p = cartesian(g, h)
+    if skipped := _factor_skip("check_cartesian", p, (g, h), cap):
+        return skipped
     rg = owc_domination_number(g, cap=cap)
     rh = owc_domination_number(h, cap=cap)
     lower = min(g.order, h.order)
@@ -188,6 +199,8 @@ def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int 
 def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """max{gamma(G),gamma(H)} <= gamma_wcon(G strong H) <= min{gamma_wcon(G)*n, gamma_wcon(H)*m}."""
     p = strong(g, h)
+    if skipped := _factor_skip("check_strong", p, (g, h), cap):
+        return skipped
     rg = owc_domination_number(g, cap=cap)
     rh = owc_domination_number(h, cap=cap)
     lower = max(domination_number(g, cap=cap).value, domination_number(h, cap=cap).value)
@@ -204,6 +217,8 @@ def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1
 def check_strong_kn(g: Graph, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """gamma_wcon(G strong K_n) equals gamma_wcon(G)."""
     p = strong(g, complete_graph(n))
+    if skipped := _factor_skip("check_strong_kn", p, (g,), cap):
+        return skipped
     rg = owc_domination_number(g, cap=cap)
     if p.order > cap:
         return _skip_report("check_strong_kn", p, cap, lower=rg.value, upper=rg.value)
@@ -216,6 +231,8 @@ def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, worker
     if m < 2 or n < 2:
         raise ValueError(f"both parts must be >= 2, got {m},{n}")
     p = strong(g, complete_bipartite_graph(m, n))
+    if skipped := _factor_skip("check_strong_kmn", p, (g,), cap):
+        return skipped
     dg = domination_number(g, cap=cap)
     upper = 2 * dg.value
     lower = 2 if is_complete_graph(g) else 1
@@ -231,6 +248,8 @@ def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, worker
 def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
     """gamma_wcon(G) <= gamma_wcon(G lex H) <= gamma_wcon(G) + P_G."""
     p = lexicographic(g, h)
+    if skipped := _factor_skip("check_lexicographic", p, (g,), cap):
+        return skipped
     s, p_g = script_p_realizer(g, cap=cap)
     lower = len(s)
     upper = lower + p_g
@@ -288,6 +307,7 @@ def _sample_passing_sets(
 def _projection_report(
     check: str, p: ProductGraph, sides: tuple[str, ...], cap: int, workers: int, sample: int, seed: int
 ) -> BoundReport:
+    cap = min(cap, PROJECTION_CAP)
     if p.order > cap:
         return _skip_report(check, p, cap)
     min_sets = enumerate_min_owc_sets(p.graph, cap=cap, workers=workers)
@@ -326,11 +346,11 @@ def check_lexico_projection(
     return _projection_report("check_lexico_projection", p, ("left",), cap, workers, sample, seed)
 
 
-def check_cartesian_rectangle(g: Graph, h: Graph, *, factor_cap: int = RECTANGLE_FACTOR_CAP) -> BoundReport:
+def check_cartesian_rectangle(g: Graph, h: Graph) -> BoundReport:
     """No rectangle S1 x S2 with both factors proper is OWC dominating in G box H."""
     p = cartesian(g, h)
-    if g.order > factor_cap or h.order > factor_cap:
-        notes = (f"factor order exceeds cap {factor_cap}",)
+    if g.order > RECTANGLE_FACTOR_CAP or h.order > RECTANGLE_FACTOR_CAP:
+        notes = (f"factor order exceeds cap {RECTANGLE_FACTOR_CAP}",)
         return _report("check_cartesian_rectangle", p, SKIPPED_TOO_LARGE, notes=notes)
     cache = IntervalCache(p.graph)
     n = h.order
@@ -387,8 +407,6 @@ class CheckRun(NamedTuple):
     function: str
     source: ArgSource
     options: tuple[str, ...] = _SOLVER_OPTIONS
-    # An upper limit on the cap option, or None.
-    cap_limit: int | None = None
 
 
 CHECKS: dict[str, tuple[CheckRun, ...]] = {
@@ -398,8 +416,8 @@ CHECKS: dict[str, tuple[CheckRun, ...]] = {
     "strong-kmn": (CheckRun("check_strong_kmn", _POOL_KMN),),
     "lex": (CheckRun("check_lexicographic", _ORDERED_PAIRS),),
     "projection": (
-        CheckRun("check_cartesian_projection", _UNORDERED_PAIRS, _SAMPLING_OPTIONS, PROJECTION_CAP),
-        CheckRun("check_lexico_projection", _ORDERED_PAIRS, _SAMPLING_OPTIONS, PROJECTION_CAP),
+        CheckRun("check_cartesian_projection", _UNORDERED_PAIRS, _SAMPLING_OPTIONS),
+        CheckRun("check_lexico_projection", _ORDERED_PAIRS, _SAMPLING_OPTIONS),
     ),
     "rectangle": (CheckRun("check_cartesian_rectangle", _UNORDERED_PAIRS, ()),),
 }
@@ -421,8 +439,6 @@ def run_check(
     for run in runs:
         fn = globals()[run.function]
         kwargs = {key: options[key] for key in run.options}
-        if run.cap_limit is not None:
-            kwargs["cap"] = min(kwargs["cap"], run.cap_limit)
         for args in arguments(run.source):
             t0 = time.perf_counter()
             report = fn(*args, **kwargs)
@@ -527,10 +543,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
     return replace(SweepConfig(), **fields)
 
 
-def default_config() -> SweepConfig:
-    return SweepConfig()
-
-
 def expand_family_spec(spec: str) -> list[Graph]:
     """Expand 'path:2..4' into graphs; plain graph specs pass through."""
     if spec.startswith("@") or ":" not in spec:
@@ -539,22 +551,12 @@ def expand_family_spec(spec: str) -> list[Graph]:
     ranges: list[range] = []
     for tok in params.split(","):
         tok = tok.strip()
-        if ".." in tok:
-            lo, _, hi = tok.partition("..")
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i < lo_i:
-                raise ValueError(f"empty range {tok!r}")
-            ranges.append(range(lo_i, hi_i + 1))
-        else:
-            v = int(tok)
-            ranges.append(range(v, v + 1))
-    out = []
-    combos = [[]]
-    for r in ranges:
-        combos = [c + [v] for c in combos for v in r]
-    for combo in combos:
-        out.append(family(name, *combo))
-    return out
+        lo, sep, hi = tok.partition("..")
+        lo_i, hi_i = int(lo), int(hi if sep else lo)
+        if hi_i < lo_i:
+            raise ValueError(f"empty range {tok!r}")
+        ranges.append(range(lo_i, hi_i + 1))
+    return [family(name, *combo) for combo in itertools.product(*ranges)]
 
 
 def build_pool(cfg: SweepConfig) -> list[Graph]:
@@ -578,13 +580,6 @@ def run_sweep(
     for name in cfg.checks:
         reports += run_check(name, lambda source: source.sweep(pool, cfg), options)
     return reports
-
-
-def count_verdicts(reports: Iterable[BoundReport]) -> dict[str, int]:
-    counts = {PASS: 0, FAIL_LOWER: 0, FAIL_UPPER: 0, FAIL_CONSTRUCTION: 0, SKIPPED_TOO_LARGE: 0}
-    for r in reports:
-        counts[r.verdict] += 1
-    return counts
 
 
 def any_failures(reports: Iterable[BoundReport]) -> bool:

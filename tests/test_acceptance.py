@@ -33,6 +33,7 @@ from owc.graphs import (
     star_graph,
 )
 from owc.harness import (
+    SweepConfig,
     build_pool,
     check_cartesian,
     check_cartesian_projection,
@@ -42,7 +43,6 @@ from owc.harness import (
     check_strong,
     check_strong_kmn,
     check_strong_kn,
-    default_config,
     parse_sweep_config,
     report_row,
     run_sweep,
@@ -385,7 +385,7 @@ def test_criterion_11_format_fidelity():
         back = graph_from_graph6(s)
         if back != g or to_graph6(back) != s:
             problems.append(f"corpus graph {i} (order {n}) failed round trip")
-    pool = build_pool(default_config())
+    pool = build_pool(SweepConfig())
     for kind in PRODUCT_KINDS:
         for g, h in itertools.product(pool, repeat=2):
             p = product(kind, g, h)  # constructor self-checks the formula

@@ -60,6 +60,17 @@ def test_compute_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_compute_rejects_a_g6_file_with_several_graphs(tmp_path, capsys):
+    corpus = tmp_path / "two.g6"
+    corpus.write_text("Bw\nDQo\n")
+    rc, out, err = run_cli(capsys, "compute", "--family", f"@{corpus}")
+    assert (rc, out) == (2, "")
+    assert str(corpus) in err and "2 graphs" in err
+    corpus.write_text("Bw\n")
+    rc, out, err = run_cli(capsys, "compute", "--family", f"@{corpus}")
+    assert (rc, out, err) == (0, "gamma_wcon=1 witness={0}\n", "")
+
+
 def test_product_stdout(capsys):
     rc, out, _ = run_cli(capsys, "product", "--kind", "cartesian",
                          "--left", "path:2", "--right", "path:2")
@@ -167,6 +178,24 @@ def test_sweep_cap_override_skips(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--cap", "4")
     assert rc == 0
     assert out.count("SKIPPED_TOO_LARGE") == 2
+
+
+def test_sweep_skips_factors_above_the_cap(capsys):
+    # C5 is in the default pool; its rows are skipped instead of ending the sweep
+    rc, out, err = run_cli(capsys, "sweep", "--cap", "4", "--workers", "1")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 286
+    assert all("verdict=PASS" in line or "verdict=SKIPPED_TOO_LARGE" in line for line in lines)
+    assert sum(line.endswith("| factor order 5 exceeds cap 4") for line in lines) == 36
+
+
+def test_check_skips_a_factor_above_the_cap(capsys):
+    rc, out, err = run_cli(capsys, "check", "cartesian", "--left", "cycle:5", "--right", "path:2",
+                           "--cap", "4")
+    assert (rc, err) == (0, "")
+    assert out == ("check_cartesian C5 x P2: exact=? bounds=[,] constructions=[] "
+                   "verdict=SKIPPED_TOO_LARGE | factor order 5 exceeds cap 4\n")
 
 
 def test_sweep_bad_config(tmp_path, capsys):

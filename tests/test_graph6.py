@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from owc.graph6 import Graph6Error, graph_from_graph6, load_graph6_file, to_graph6
+from owc.graph6 import Graph6Error, graph_from_graph6, to_graph6
 from owc.graphs import (
     complete_graph,
     cycle_graph,
@@ -108,10 +108,3 @@ def test_decode_errors_carry_offsets():
 def test_zero_order_rejected():
     with pytest.raises(Graph6Error):
         graph_from_graph6("?")
-
-
-def test_load_graph6_file(tmp_path):
-    p = tmp_path / "corpus.g6"
-    gs = [path_graph(3), cycle_graph(5), complete_graph(4)]
-    p.write_text("".join(to_graph6(g) + "\n" for g in gs) + "\n")
-    assert load_graph6_file(str(p)) == gs

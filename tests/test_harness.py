@@ -30,8 +30,6 @@ from owc.harness import (
     check_strong,
     check_strong_kmn,
     check_strong_kn,
-    count_verdicts,
-    default_config,
     expand_family_spec,
     format_report_text,
     parse_sweep_config,
@@ -65,6 +63,31 @@ def test_check_cartesian_skip():
     assert (r.lower, r.upper) == (4, 8)
     assert r.construction_sizes == {}
     assert any("exceeds cap" in n for n in r.notes)
+
+
+@pytest.mark.parametrize("check, args", [
+    pytest.param(check_cartesian, (cycle_graph(5), path_graph(2)), id="cartesian-left"),
+    pytest.param(check_cartesian, (path_graph(2), cycle_graph(5)), id="cartesian-right"),
+    pytest.param(check_strong, (cycle_graph(5), path_graph(2)), id="strong"),
+    pytest.param(check_strong_kn, (cycle_graph(5), 2), id="strong-kn"),
+    pytest.param(check_strong_kmn, (cycle_graph(5), 2, 2), id="strong-kmn"),
+    pytest.param(check_lexicographic, (cycle_graph(5), path_graph(2)), id="lex"),
+])
+def test_bound_checks_skip_a_factor_above_the_cap(check, args):
+    # the factor is tested against the cap before any solve, so no bound is computed
+    r = check(*args, cap=4)
+    assert r.verdict == "SKIPPED_TOO_LARGE"
+    assert (r.exact, r.lower, r.upper) == (None, None, None)
+    assert r.construction_sizes == {} and r.witness == ""
+    assert r.notes == ("factor order 5 exceeds cap 4",)
+
+
+def test_lexicographic_solves_only_its_left_factor():
+    # P2 fits the cap, so its bounds are kept and only the product is skipped
+    r = check_lexicographic(path_graph(2), cycle_graph(5), cap=4)
+    assert r.verdict == "SKIPPED_TOO_LARGE"
+    assert (r.exact, r.lower, r.upper) == (None, 1, 2)
+    assert r.notes == ("product order 10 exceeds cap 4",)
 
 
 def test_check_strong():
@@ -223,7 +246,7 @@ def test_timings_flag(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def readme_default_config() -> str:
+def readme_builtin_config() -> str:
     """The config block that the README documents as the built-in default."""
     text = (ROOT / "README.md").read_text()
     after = text.split("The built-in default config is:", 1)[1]
@@ -231,9 +254,8 @@ def readme_default_config() -> str:
 
 
 def test_default_config_round_trip():
-    assert parse_sweep_config(readme_default_config()) == SweepConfig()
-    assert default_config() == SweepConfig()
-    pool = build_pool(default_config())
+    assert parse_sweep_config(readme_builtin_config()) == SweepConfig()
+    pool = build_pool(SweepConfig())
     assert [g.name for g in pool] == [
         "P2", "P3", "P4", "C3", "C4", "C5", "K2", "K3", "K4", "K1,3", "K2,2"]
 
@@ -283,11 +305,10 @@ def test_run_sweep_shape_and_determinism():
     assert reports == run_sweep(cfg)
     assert run_sweep(cfg, workers=2) == reports
 
-    counts = count_verdicts(reports)
-    assert sum(counts.values()) == 18
-    assert counts["SKIPPED_TOO_LARGE"] == 0
+    verdicts = [r.verdict for r in reports]
+    assert "SKIPPED_TOO_LARGE" not in verdicts
     # P3-based strong-kn and lex rows falsify their claimed lower bounds
-    assert counts["FAIL_LOWER"] > 0
+    assert "FAIL_LOWER" in verdicts
     assert any_failures(reports)
 
 
