@@ -119,42 +119,46 @@ def is_convex(cache: IntervalCache, d: VertexSet) -> bool:
     return cache.convex_bits(d.bits)
 
 
-def weakly_convex_bits(adj: tuple[int, ...], balls: list[list[int]], cbits: int) -> bool:
-    """Fast weak-convexity test on a raw mask.
+def weakly_convex_bits(adj: tuple[int, ...], balls: list[list[int]], avail: int, fixed: int) -> bool:
+    """True iff every two members of ``fixed`` are joined by a geodesic lying inside ``avail``.
 
-    For each member u, grow the reachable set inside ``cbits`` one hop at a
-    time and demand it matches the global distance ball restricted to the set
-    at every level.  Any shortfall means some pair's induced distance exceeds
-    its graph distance (or the pair disconnects), so no geodesic fits inside.
+    Raw masks; ``fixed`` must lie inside ``avail``.  For each member u of ``fixed``, grow
+    the reachable set inside ``avail`` one hop at a time and demand that it
+    holds every member of ``fixed`` within the global distance ball of u at
+    every level.  Any shortfall means some pair's distance inside ``avail``
+    exceeds its graph distance (or the pair disconnects), so no geodesic fits
+    inside.  With ``avail == fixed`` this is the weak-convexity test of the
+    set.
     """
-    if cbits & (cbits - 1) == 0:
+    if fixed & (fixed - 1) == 0:
         return True
-    for u in iter_bits(cbits):
+    for u in iter_bits(fixed):
         ball_u = balls[u]
         last = len(ball_u) - 1
-        target = ball_u[last] & cbits
-        if target != cbits:
+        if ball_u[last] & fixed != fixed:
             return False
         vis = 1 << u
         frontier = vis
         level = 0
-        while vis != target:
+        while fixed & ~vis:
             level += 1
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
-            frontier = grow & cbits & ~vis
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & avail & ~vis
             if not frontier:
                 return False
             vis |= frontier
-            if vis != ball_u[level if level < last else last] & cbits:
+            if ball_u[level if level < last else last] & fixed & ~vis:
                 return False
     return True
 
 
 def is_weakly_convex(cache: IntervalCache, d: VertexSet) -> bool:
     """Fast path: every pair of members keeps its graph distance inside the set."""
-    return weakly_convex_bits(cache.adj_bits, cache.ball_masks, d.bits)
+    return weakly_convex_bits(cache.adj_bits, cache.ball_masks, d.bits, d.bits)
 
 
 def geodesics(cache: IntervalCache, u: int, v: int) -> Iterator[tuple[int, ...]]:

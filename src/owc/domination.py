@@ -2,12 +2,18 @@
 
 The solver searches k-subsets for k = 1, 2, ... until a passing set exists,
 so minimality is by construction.  Each level is a depth-first search over
-sorted vertex prefixes in lex order that drops a prefix once no extension can
-dominate the graph, so the complement test runs on dominating sets only.
-The first passing set found is the one whose sorted vertex list is
-lexicographically smallest: the canonical witness.  A parallel run splits a
-level into contiguous ranges of least vertex and concatenates the parts in
-range order, which keeps lex order and the witness.
+sorted vertex prefixes in lex order with two monotone bounds.  It drops a
+prefix once no extension can dominate the graph, so the complement test runs
+on dominating sets only.  In the two complement modes it also drops a prefix
+once F, the vertices below its last vertex that it skipped, can no longer lie
+in a passing complement.  F stays outside every extension.  Its tests (the
+interval closure of F misses the prefix; every pair of F has a geodesic that
+avoids the prefix) only get harder as F and the prefix grow, so a dropped
+prefix has no passing extension.  The first passing set found is the one
+whose sorted vertex list is lexicographically smallest: the canonical
+witness.  A parallel run splits a level into contiguous ranges of least
+vertex and concatenates the parts in range order, which keeps lex order and
+the witness.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Iterator
 
@@ -68,7 +73,7 @@ def is_owc_dominating(g: Graph, d: VertexSet, cache: IntervalCache | None = None
     if cache is None:
         cache = IntervalCache(g)
     comp = d.bits ^ ((1 << g.order) - 1)
-    return weakly_convex_bits(cache.adj_bits, cache.ball_masks, comp)
+    return weakly_convex_bits(cache.adj_bits, cache.ball_masks, comp, comp)
 
 
 def is_outer_convex_dominating(g: Graph, d: VertexSet, cache: IntervalCache | None = None) -> bool:
@@ -97,11 +102,26 @@ def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
 def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | None = None) -> Iterator[int]:
     """Passing k-subset masks whose least vertex lies in [lo, hi), in lex order of vertex lists.
 
-    A depth-first search over sorted prefixes.  Once a prefix and every vertex
-    after its last one cannot dominate the graph, it and its later siblings are
-    dropped.  The last vertex is read off as the AND of the closed
-    neighbourhoods of the still undominated vertices, so the complement test
-    runs on dominating sets only.
+    A depth-first search over sorted prefixes with two monotone bounds.
+
+    Domination: once a prefix and every vertex after its last one cannot
+    dominate the graph, it and its later siblings are dropped.  The last
+    vertex is read off as the AND of the closed neighbourhoods of the still
+    undominated vertices, so the complement test runs on dominating sets only.
+
+    Complement: let v be a prefix's largest vertex and F the vertices up to v
+    outside the prefix (in a range task F holds every vertex below ``lo``).
+    Later picks are above v, so F stays in the complement of every extension,
+    and the prefix is dropped once F fails a necessary condition:
+
+    - ``ocon``: a convex complement holds the interval closure I[F], so the
+      prefix goes once I[F] meets it.  I[F] is grown one vertex at a time as
+      F grows along the siblings and down the tree.
+    - ``owc``: every pair of F needs a geodesic that misses the prefix, so
+      the prefix goes once some pair has none in G minus the prefix.
+
+    Extensions only grow F and the prefix, so a dropped prefix has no passing
+    extension.  Leaves still run the full complement test.
     """
     adj = cache.adj_bits
     n = len(adj)
@@ -111,14 +131,25 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
     reach = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         reach[v] = reach[v + 1] | closed[v]
-    if mode == MODE_DOMINATING:
-        outer_ok = None
-    elif mode == MODE_OWC:
-        outer_ok = partial(weakly_convex_bits, adj, cache.ball_masks)
-    else:
+    owc = mode == MODE_OWC
+    ocon = mode == MODE_OCON
+    if owc:
+        balls = cache.ball_masks
+        outer_ok = lambda comp: weakly_convex_bits(adj, balls, comp, comp)
+    elif ocon:
         outer_ok = cache.convex_bits
+        interval_bits = cache.interval_bits
+    else:
+        outer_ok = None
 
-    def extend(chosen: int, cover: int, start: int, stop: int, left: int) -> Iterator[int]:
+    def close(hull: int, fixed: int, w: int) -> int:
+        """I[fixed + w], given hull = I[fixed]."""
+        hull |= 1 << w
+        for a in iter_bits(fixed):
+            hull |= interval_bits(a, w)
+        return hull
+
+    def extend(chosen: int, cover: int, start: int, stop: int, left: int, hull: int) -> Iterator[int]:
         if left == 1:
             last = ((1 << stop) - 1) >> start << start
             rest = full ^ cover
@@ -133,12 +164,30 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
                     yield s
                 last ^= low
             return
+        # F of the prefix chosen + v: every vertex below v outside chosen.
+        # In ocon mode hull is I[fixed] throughout.
+        fixed = ((1 << start) - 1) & ~chosen
         for v in range(start, min(stop, n - left + 1)):
             if cover | reach[v] != full:
                 return
-            yield from extend(chosen | 1 << v, cover | closed[v], v + 1, n, left - 1)
+            prefix = chosen | 1 << v
+            if ocon:
+                if hull & chosen:
+                    return
+                keep = not hull >> v & 1
+            else:
+                keep = not owc or weakly_convex_bits(adj, balls, full ^ prefix, fixed)
+            if keep:
+                yield from extend(prefix, cover | closed[v], v + 1, n, left - 1, hull)
+            if ocon:
+                hull = close(hull, fixed, v)
+            fixed |= 1 << v
 
-    return extend(0, 0, lo, n if hi is None else hi, k)
+    hull = 0
+    if ocon:
+        for w in range(lo):
+            hull = close(hull, (1 << w) - 1, w)
+    return extend(0, 0, lo, n if hi is None else hi, k, hull)
 
 
 def _first_vertex_ranges(n: int, k: int, parts: int) -> list[tuple[int, int]]:

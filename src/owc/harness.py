@@ -236,11 +236,11 @@ def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, worker
     dg = domination_number(g, cap=cap)
     upper = 2 * dg.value
     lower = 2 if is_complete_graph(g) else 1
+    if p.order > cap:
+        return _skip_report("check_strong_kmn", p, cap, lower=lower, upper=upper)
     notes = [f"statement reading 2*gamma_wcon(G)={2 * owc_domination_number(g, cap=cap).value}"]
     if is_complete_graph(g):
         notes.append("complete G: sharpness expects exact=2")
-    if p.order > cap:
-        return _skip_report("check_strong_kmn", p, cap, lower=lower, upper=upper)
     built = [recipes.strong_kmn_pair(p, dg.witness)]
     return _bound_report("check_strong_kmn", p, built, lower, upper, notes, cap, workers)
 
@@ -253,6 +253,8 @@ def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: 
     s, p_g = script_p_realizer(g, cap=cap)
     lower = len(s)
     upper = lower + p_g
+    if p.order > cap:
+        return _skip_report("check_lexicographic", p, cap, lower=lower, upper=upper)
     notes: list[str] = []
     if p_g == 0:
         notes.append("P_G=0: bounds coincide, equality forced")
@@ -261,8 +263,6 @@ def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: 
     if p_convex != p_g:
         other = "none" if p_convex is None else str(p_convex)
         notes.append(f"P_G readings differ: weakly_convex={p_g}, convex={other}")
-    if p.order > cap:
-        return _skip_report("check_lexicographic", p, cap, lower=lower, upper=upper)
     built = [recipes.lexico_anchor(p, s)]
     return _bound_report("check_lexicographic", p, built, lower, upper, notes, cap, workers)
 

@@ -11,6 +11,7 @@ from owc.convexity import (
     is_convex,
     is_weakly_convex,
     is_weakly_convex_oracle,
+    weakly_convex_bits,
 )
 from owc.graphs import (
     VertexSet,
@@ -91,6 +92,28 @@ def test_weakly_convex_matches_definitional_oracle_random():
         for _ in range(60):
             s = VertexSet(g.order, rng.getrandbits(g.order))
             assert is_weakly_convex(cache, s) == is_weakly_convex_oracle(cache, s)
+
+
+def test_geodesic_kernel_matches_brute_force():
+    # weakly_convex_bits(adj, balls, avail, fixed): every pair of fixed has a geodesic inside avail
+    rng = random.Random(29)
+    for _ in range(150):
+        g = random_connected_graph(rng, rng.randint(2, 10))
+        cache = IntervalCache(g)
+        for _ in range(20):
+            fixed = rng.getrandbits(g.order)
+            avail = fixed | rng.getrandbits(g.order)
+            members = VertexSet(g.order, fixed).vertices()
+            expect = all(
+                any(all(avail >> w & 1 for w in path) for path in geodesics(cache, u, v))
+                for u, v in itertools.combinations(members, 2)
+            )
+            got = weakly_convex_bits(cache.adj_bits, cache.ball_masks, avail, fixed)
+            assert got == expect, (g.edges(), avail, fixed)
+            s = VertexSet(g.order, fixed)
+            assert weakly_convex_bits(cache.adj_bits, cache.ball_masks, fixed, fixed) == (
+                is_weakly_convex_oracle(cache, s)
+            )
 
 
 def test_weakly_convex_trivial_sets():

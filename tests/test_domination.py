@@ -268,6 +268,39 @@ def test_grid_p6_p4_value_witness_and_examined(workers):
     assert res.examined == 7_036_529 == sum(math.comb(24, k) for k in range(1, 12))
 
 
+def test_range_tasks_keep_the_prune_sound(monkeypatch):
+    # a range task whose least vertex is above 0 starts with every vertex below it in F
+    monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
+    for g in FAMILIES[4:10] + random_pool(31, 5, lo=6, hi=9):
+        cache = IntervalCache(g)
+        for mode, predicate in NAIVE_PREDICATES.items():
+            for k in range(1, g.order + 1):
+                expect = [c for c in itertools.combinations(range(g.order), k) if predicate(g, c)]
+                got = [s.vertices() for s in sets_of_size(g, k, mode, workers=2)]
+                assert got == expect, (g.name, mode, k)
+                by_range = [
+                    VertexSet(g.order, bits).vertices()
+                    for lo in range(g.order)
+                    for bits in _level_hits(cache, k, mode, lo, lo + 1)
+                ]
+                assert by_range == expect, (g.name, mode, k)
+
+
+@pytest.mark.parametrize(
+    "solver, witness",
+    [
+        (owc_domination_number, (0, 1, 3, 4, 5, 8, 9, 12, 15, 16, 19, 20, 23, 27)),
+        (outer_convex_domination_number, (0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27)),
+    ],
+    ids=["owc", "ocon"],
+)
+def test_grid_c7_p4_matches_the_unpruned_search(solver, witness):
+    # value and canonical witness recorded from the search without complement pruning
+    g = cartesian(cycle_graph(7), path_graph(4)).graph
+    res = solver(g, cap=28, workers=1)
+    assert (res.value, res.witness.vertices()) == (14, witness)
+
+
 def test_parallel_scan_matches_serial(monkeypatch):
     monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
     for g in [path_graph(5), cycle_graph(6)] + random_pool(9, 4, lo=6, hi=8):
