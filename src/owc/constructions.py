@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .convexity import IntervalCache
 from .domination import (
     domination_number,
     is_dominating,
@@ -97,20 +98,11 @@ def _full_cover(p: ProductGraph, s: VertexSet, side: str) -> ConstructionSet:
 
 
 def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    """Two-color a connected graph, or None if an odd cycle exists."""
-    color = [-1] * g.order
-    color[0] = 0
-    queue = [0]
-    adj = g.adjacency_bits()
-    while queue:
-        v = queue.pop()
-        for w in iter_bits(adj[v]):
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    return [v for v in range(g.order) if color[v] == 0], [v for v in range(g.order) if color[v] == 1]
+    """The two parity classes of distance to vertex 0, or None if an edge joins one class."""
+    row = IntervalCache.of(g).dm.rows[0]
+    if any((row[u] + row[v]) % 2 == 0 for u, v in g.edges()):
+        return None
+    return [v for v in range(g.order) if row[v] % 2 == 0], [v for v in range(g.order) if row[v] % 2 == 1]
 
 
 def strong_kn_slice(p: ProductGraph, s: VertexSet, h: int = 0) -> ConstructionSet:

@@ -22,31 +22,40 @@ from .graphs import UNREACHABLE, Graph, VertexSet, distance_matrix, iter_bits
 class IntervalCache:
     """The one per-graph context: distances, adjacency, level and ball masks, intervals.
 
-    The solvers, the predicates and the checks all read the graph through
-    this object.  Level and ball masks are built on first use; intervals are
-    memoized as raw masks per unordered pair, so the outer-convex scan and
-    ``is_convex`` share one memo.  Nothing is memoized across contexts:
-    results of whole solves are not cached.
+    Each Graph owns one context, built on first use by ``IntervalCache.of``;
+    the solvers, the predicates, the recipes and the checks all read a graph
+    through it.  A Graph never changes, so its context never goes stale.
+    Level and ball masks are built on first use; intervals are memoized as
+    raw masks per unordered pair, so the outer-convex scan and ``is_convex``
+    share one memo.  Results of whole solves are not cached.
     """
 
     def __init__(self, g: Graph):
-        self.graph = g
+        self.order = g.order
         self.dm = distance_matrix(g)
         self.adj_bits = g.adjacency_bits()
         self._intervals: dict[tuple[int, int], int] = {}
         self._levels: list[list[int]] | None = None
         self._balls: list[list[int]] | None = None
 
+    @classmethod
+    def of(cls, g: Graph) -> "IntervalCache":
+        """The context of g, built on its first use and kept on g."""
+        try:
+            return g._context
+        except AttributeError:
+            context = cls(g)
+            object.__setattr__(g, "_context", context)
+            return context
+
     @property
     def level_masks(self) -> list[list[int]]:
         """``level_masks[u][d]`` is the mask of vertices at distance exactly d from u."""
         if self._levels is None:
-            n = self.graph.order
             levels = []
-            for u in range(n):
+            for u in range(self.order):
                 row = self.dm.rows[u]
-                ecc = max(d for d in row if d != UNREACHABLE)
-                lvl = [0] * (ecc + 1)
+                lvl = [0] * (self.dm.eccentricity(u) + 1)
                 for v, d in enumerate(row):
                     if d != UNREACHABLE:
                         lvl[d] |= 1 << v
@@ -81,7 +90,7 @@ class IntervalCache:
         if duv == UNREACHABLE:
             raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
         bits = 0
-        for w in range(self.graph.order):
+        for w in range(self.order):
             if ru[w] != UNREACHABLE and rv[w] != UNREACHABLE and ru[w] + rv[w] == duv:
                 bits |= 1 << w
         self._intervals[key] = bits
@@ -101,7 +110,7 @@ class IntervalCache:
 
 def interval(cache: IntervalCache, u: int, v: int) -> VertexSet:
     """I[u,v]: all vertices on some u-v geodesic."""
-    return VertexSet(cache.graph.order, cache.interval_bits(u, v))
+    return VertexSet(cache.order, cache.interval_bits(u, v))
 
 
 def interval_closure(cache: IntervalCache, d: VertexSet) -> VertexSet:
@@ -111,7 +120,7 @@ def interval_closure(cache: IntervalCache, d: VertexSet) -> VertexSet:
     for i, u in enumerate(members):
         for v in members[i:]:
             bits |= cache.interval_bits(u, v)
-    return VertexSet(cache.graph.order, bits)
+    return VertexSet(cache.order, bits)
 
 
 def is_convex(cache: IntervalCache, d: VertexSet) -> bool:

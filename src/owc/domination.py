@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Iterator
 
 from .convexity import IntervalCache, is_convex, weakly_convex_bits
-from .graphs import Graph, VertexSet, is_connected, iter_bits
+from .graphs import UNREACHABLE, Graph, VertexSet, iter_bits
 
 DEFAULT_CAP = 24
 
@@ -66,23 +66,20 @@ def is_dominating(g: Graph, d: VertexSet) -> bool:
     return cover == (1 << g.order) - 1
 
 
-def is_owc_dominating(g: Graph, d: VertexSet, cache: IntervalCache | None = None) -> bool:
+def is_owc_dominating(g: Graph, d: VertexSet) -> bool:
     """Dominating with a weakly convex complement."""
     if not is_dominating(g, d):
         return False
-    if cache is None:
-        cache = IntervalCache(g)
+    cache = IntervalCache.of(g)
     comp = d.bits ^ ((1 << g.order) - 1)
     return weakly_convex_bits(cache.adj_bits, cache.ball_masks, comp, comp)
 
 
-def is_outer_convex_dominating(g: Graph, d: VertexSet, cache: IntervalCache | None = None) -> bool:
+def is_outer_convex_dominating(g: Graph, d: VertexSet) -> bool:
     """Dominating with a convex complement."""
     if not is_dominating(g, d):
         return False
-    if cache is None:
-        cache = IntervalCache(g)
-    return is_convex(cache, d.complement())
+    return is_convex(IntervalCache.of(g), d.complement())
 
 
 def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
@@ -207,7 +204,7 @@ def _scan_worker(args: tuple[tuple[int, ...], str, int, int, int, int | None]) -
     adj, mode, k, lo, hi, limit = args
     order = len(adj)
     g = Graph(order, (VertexSet(order, b) for b in adj))
-    return list(islice(_level_hits(IntervalCache(g), k, mode, lo, hi), limit))
+    return list(islice(_level_hits(IntervalCache.of(g), k, mode, lo, hi), limit))
 
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
@@ -224,7 +221,7 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 
 def _scan_level(cache: IntervalCache, k: int, mode: str, workers: int, limit: int | None) -> list[int]:
     """The first ``limit`` passing k-subset masks in lex order (all of them for None)."""
-    n = cache.graph.order
+    n = cache.order
     if workers <= 1 or math.comb(n, k) < _PARALLEL_THRESHOLD:
         return list(islice(_level_hits(cache, k, mode), limit))
     tasks = [(cache.adj_bits, mode, k, lo, hi, limit) for lo, hi in _first_vertex_ranges(n, k, workers)]
@@ -233,14 +230,15 @@ def _scan_level(cache: IntervalCache, k: int, mode: str, workers: int, limit: in
 
 
 def _context(g: Graph, cap: int) -> IntervalCache:
-    """The search context of g, once g is connected and within the cap."""
+    """The search context of g, once g is within the cap and connected."""
     if g.order > cap:
         raise ValueError(
             f"order {g.order} exceeds the search cap {cap}; pass a larger cap (--cap) if intended"
         )
-    if not is_connected(g):
+    cache = IntervalCache.of(g)
+    if UNREACHABLE in cache.dm.rows[0]:
         raise ValueError("graph is disconnected; minimum-set search requires a connected graph")
-    return IntervalCache(g)
+    return cache
 
 
 def _solve_min(

@@ -8,7 +8,6 @@ parallel workers.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 MAX_ORDER = 1024
@@ -116,9 +115,10 @@ class Graph:
 
     ``adjacency[v]`` is the open neighborhood N(v).  Construction validates
     symmetry and irreflexivity; instances are immutable afterwards.
+    ``_context`` holds the graph's ``IntervalCache`` once it is first used.
     """
 
-    __slots__ = ("order", "adjacency", "name")
+    __slots__ = ("order", "adjacency", "name", "_context")
 
     def __init__(self, order: int, adjacency: Iterable[VertexSet], name: str | None = None):
         if not 1 <= order <= MAX_ORDER:
@@ -243,17 +243,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
 def is_connected(g: Graph) -> bool:
     """True iff a single sweep from vertex 0 reaches every vertex."""
-    adj = g.adjacency_bits()
-    seen = 1
-    frontier = 1
-    full = (1 << g.order) - 1
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == full
+    return UNREACHABLE not in _bfs_distances(g.adjacency_bits(), g.order, 0)
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from . import constructions as recipes
-from .convexity import IntervalCache
 from .domination import (
     DEFAULT_CAP,
     MODE_OCON,
@@ -133,9 +132,9 @@ def _skip_report(check: str, p: ProductGraph, cap: int, **fields) -> BoundReport
     return _report(check, p, SKIPPED_TOO_LARGE, notes=notes, **fields)
 
 
-def _factor_skip(check: str, p: ProductGraph, solved: tuple[Graph, ...], cap: int) -> BoundReport | None:
-    """A skip report without bounds when a factor the check solves is above ``cap``, else None."""
-    for f in solved:
+def _factor_skip(check: str, p: ProductGraph, factors: tuple[Graph, ...], cap: int) -> BoundReport | None:
+    """A skip report without bounds when one of the given factors is above ``cap``, else None."""
+    for f in factors:
         if f.order > cap:
             return _report(check, p, SKIPPED_TOO_LARGE, notes=(f"factor order {f.order} exceeds cap {cap}",))
     return None
@@ -276,20 +275,17 @@ def _projection_failures(
 ) -> list[str]:
     """One line per labeled set and side whose projection fails in that factor."""
     factors = {"left": (p.left, p.project_left), "right": (p.right, p.project_right)}
-    caches = {side: IntervalCache(factors[side][0]) for side in sides}
     out = []
     for label, s in sets:
         for side in sides:
             factor, project = factors[side]
             proj = project(s)
-            if not is_owc_dominating(factor, proj, caches[side]):
+            if not is_owc_dominating(factor, proj):
                 out.append(f"{label} S={format_product_set(p, s)} side={side} proj={proj} fails in factor")
     return out
 
 
-def _sample_passing_sets(
-    p: ProductGraph, minimum: int, sample: int, rng: random.Random, cache: IntervalCache
-) -> list[VertexSet]:
+def _sample_passing_sets(p: ProductGraph, minimum: int, sample: int, rng: random.Random) -> list[VertexSet]:
     """Seeded random non-minimum OWC dominating sets of the product."""
     found: list[VertexSet] = []
     tries = 0
@@ -299,7 +295,7 @@ def _sample_passing_sets(
             break
         k = rng.randint(minimum + 1, p.order)
         s = VertexSet.of(p.order, rng.sample(range(p.order), k))
-        if is_owc_dominating(p.graph, s, cache):
+        if is_owc_dominating(p.graph, s):
             found.append(s)
     return found
 
@@ -313,7 +309,7 @@ def _projection_report(
     min_sets = enumerate_min_owc_sets(p.graph, cap=cap, workers=workers)
     exact = len(min_sets[0])
     rng = random.Random(f"{seed}:{check}:{p.graph.name}")
-    sampled = _sample_passing_sets(p, exact, sample, rng, IntervalCache(p.graph))
+    sampled = _sample_passing_sets(p, exact, sample, rng)
     labeled = [("minimum", s) for s in min_sets] + [("sampled", s) for s in sampled]
     failures = _projection_failures(p, labeled, sides)
     return _report(
@@ -349,10 +345,8 @@ def check_lexico_projection(
 def check_cartesian_rectangle(g: Graph, h: Graph) -> BoundReport:
     """No rectangle S1 x S2 with both factors proper is OWC dominating in G box H."""
     p = cartesian(g, h)
-    if g.order > RECTANGLE_FACTOR_CAP or h.order > RECTANGLE_FACTOR_CAP:
-        notes = (f"factor order exceeds cap {RECTANGLE_FACTOR_CAP}",)
-        return _report("check_cartesian_rectangle", p, SKIPPED_TOO_LARGE, notes=notes)
-    cache = IntervalCache(p.graph)
+    if skipped := _factor_skip("check_cartesian_rectangle", p, (g, h), RECTANGLE_FACTOR_CAP):
+        return skipped
     n = h.order
     failures = []
     checked = 0
@@ -362,7 +356,7 @@ def check_cartesian_rectangle(g: Graph, h: Graph) -> BoundReport:
             bits = 0
             for a in iter_bits(s1):
                 bits |= s2 << (a * n)
-            if is_owc_dominating(p.graph, VertexSet(p.order, bits), cache):
+            if is_owc_dominating(p.graph, VertexSet(p.order, bits)):
                 failures.append(
                     f"S1={VertexSet(g.order, s1)} S2={VertexSet(h.order, s2)} rectangle passes"
                 )

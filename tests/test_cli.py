@@ -196,6 +196,11 @@ def test_check_skips_a_factor_above_the_cap(capsys):
     assert (rc, err) == (0, "")
     assert out == ("check_cartesian C5 x P2: exact=? bounds=[,] constructions=[] "
                    "verdict=SKIPPED_TOO_LARGE | factor order 5 exceeds cap 4\n")
+    # the rectangle check enumerates factor subsets, so its factors have their own cap
+    rc, out, err = run_cli(capsys, "check", "rectangle", "--left", "cycle:6", "--right", "path:2")
+    assert (rc, err) == (0, "")
+    assert out == ("check_cartesian_rectangle C6 x P2: exact=? bounds=[,] constructions=[] "
+                   "verdict=SKIPPED_TOO_LARGE | factor order 6 exceeds cap 5\n")
 
 
 def test_sweep_bad_config(tmp_path, capsys):

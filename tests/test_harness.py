@@ -7,6 +7,14 @@ from pathlib import Path
 import pytest
 
 from owc.cli import main
+from owc.convexity import IntervalCache
+from owc.domination import (
+    SCRIPT_P_CONVEX,
+    SCRIPT_P_WEAKLY_CONVEX,
+    is_owc_dominating,
+    owc_domination_number,
+    script_p,
+)
 from owc.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -209,6 +217,27 @@ def test_check_cartesian_rectangle():
     assert r.verdict == "PASS" and r.witness == ""
     r = check_cartesian_rectangle(cycle_graph(6), path_graph(3))
     assert r.verdict == "SKIPPED_TOO_LARGE"
+
+
+def test_each_graph_builds_one_context(monkeypatch):
+    # The solvers, predicates, recipes and checks all read a graph's context
+    # through IntervalCache.of, so no Graph object is handed to __init__ twice.
+    received = []  # keeps every graph alive, so no id is reused
+    init = IntervalCache.__init__
+
+    def recording_init(self, g):
+        received.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(IntervalCache, "__init__", recording_init)
+    run_sweep(SweepConfig(), workers=1)
+    g = cycle_graph(5)
+    witness = owc_domination_number(g).witness
+    script_p(g, mode=SCRIPT_P_WEAKLY_CONVEX)
+    script_p(g, mode=SCRIPT_P_CONVEX)
+    assert is_owc_dominating(g, witness)
+    assert sum(x is g for x in received) == 1
+    assert len({id(x) for x in received}) == len(received)
 
 
 def test_projection_sampling_is_seeded():
