@@ -20,14 +20,14 @@ from .graphs import UNREACHABLE, Graph, VertexSet, distance_matrix, iter_bits
 
 
 class IntervalCache:
-    """The one per-graph context: distances, adjacency, level and ball masks, intervals.
+    """The one per-graph context: distances, adjacency, level, ball and shadow masks, intervals.
 
     Each Graph owns one context, built on first use by ``IntervalCache.of``;
     the solvers, the predicates, the recipes and the checks all read a graph
     through it.  A Graph never changes, so its context never goes stale.
-    Level and ball masks are built on first use; intervals are memoized as
-    raw masks per unordered pair, so the outer-convex scan and ``is_convex``
-    share one memo.  Results of whole solves are not cached.
+    Level, ball and shadow masks are built on first use; intervals are
+    memoized as raw masks per unordered pair, so the outer-convex scan and
+    ``is_convex`` share one memo.  Results of whole solves are not cached.
     """
 
     def __init__(self, g: Graph):
@@ -37,6 +37,7 @@ class IntervalCache:
         self._intervals: dict[tuple[int, int], int] = {}
         self._levels: list[list[int]] | None = None
         self._balls: list[list[int]] | None = None
+        self._shadows: list[list[int]] | None = None
 
     @classmethod
     def of(cls, g: Graph) -> "IntervalCache":
@@ -77,6 +78,26 @@ class IntervalCache:
                 balls.append(cum)
             self._balls = balls
         return self._balls
+
+    @property
+    def shadow_masks(self) -> list[list[int]]:
+        """``shadow_masks[v][u]`` is the mask of vertices w with v in I[u,w]: d(u,v) + d(v,w) = d(u,w)."""
+        if self._shadows is None:
+            levels = self.level_masks
+            rows = self.dm.rows
+            shadows = []
+            for v, lvl_v in enumerate(levels):
+                row = []
+                for u, lvl_u in enumerate(levels):
+                    duv = rows[u][v]
+                    bits = 0
+                    if duv != UNREACHABLE:
+                        for d in range(min(len(lvl_v), len(lvl_u) - duv)):
+                            bits |= lvl_v[d] & lvl_u[duv + d]
+                    row.append(bits)
+                shadows.append(row)
+            self._shadows = shadows
+        return self._shadows
 
     def interval_bits(self, u: int, v: int) -> int:
         """Mask of I[u,v], memoized per unordered pair."""
@@ -128,40 +149,49 @@ def is_convex(cache: IntervalCache, d: VertexSet) -> bool:
     return cache.convex_bits(d.bits)
 
 
-def weakly_convex_bits(adj: tuple[int, ...], balls: list[list[int]], avail: int, fixed: int) -> bool:
+def weakly_convex_bits(
+    adj: tuple[int, ...], balls: list[list[int]], avail: int, fixed: int, known: int = 0, shadow: list[int] | None = None
+) -> bool:
     """True iff every two members of ``fixed`` are joined by a geodesic lying inside ``avail``.
 
-    Raw masks; ``fixed`` must lie inside ``avail``.  For each member u of ``fixed``, grow
-    the reachable set inside ``avail`` one hop at a time and demand that it
-    holds every member of ``fixed`` within the global distance ball of u at
-    every level.  Any shortfall means some pair's distance inside ``avail``
-    exceeds its graph distance (or the pair disconnects), so no geodesic fits
-    inside.  With ``avail == fixed`` this is the weak-convexity test of the
-    set.
+    Raw masks; ``fixed`` must lie inside ``avail``.  Each pair is tested once:
+    the members are taken as sources from the highest down, and the targets
+    of a source u are the members below it.  A BFS from u inside ``avail``
+    keeps, at level d, only the vertices at graph distance d from u, which
+    are those it reaches along a geodesic; each target must be among them at
+    its own distance, and the BFS stops once it has reached every target.
+    With ``avail == fixed`` this is the weak-convexity test of the set.
+
+    ``known`` and ``shadow`` let a caller skip pairs it has already cleared.
+    ``known`` is a set of members each pair of which has a geodesic inside
+    ``avail`` plus at most one vertex x outside it.  For a source u in
+    ``known``, ``shadow[u]`` holds every w whose pair with u may have lost
+    that geodesic: ``shadow_masks[x][u]``, the vertices w with x in I[u,w],
+    since a pair keeps every geodesic that misses x; or 0 when the pairs of
+    ``known`` have a geodesic inside ``avail`` itself.  Targets in ``known``
+    outside ``shadow[u]`` are dropped.
     """
-    if fixed & (fixed - 1) == 0:
-        return True
-    for u in iter_bits(fixed):
+    rest = fixed
+    while rest & (rest - 1):
+        u = rest.bit_length() - 1
+        rest ^= 1 << u
+        targets = rest & (shadow[u] | ~known) if known >> u & 1 else rest
+        if not targets:
+            continue
         ball_u = balls[u]
-        last = len(ball_u) - 1
-        if ball_u[last] & fixed != fixed:
-            return False
-        vis = 1 << u
-        frontier = vis
+        frontier = 1 << u
         level = 0
-        while fixed & ~vis:
-            level += 1
+        while targets:
             grow = 0
             while frontier:
                 low = frontier & -frontier
                 grow |= adj[low.bit_length() - 1]
                 frontier ^= low
-            frontier = grow & avail & ~vis
-            if not frontier:
+            frontier = grow & avail & ~ball_u[level]
+            level += 1
+            if not frontier or ball_u[level] & targets & ~frontier:
                 return False
-            vis |= frontier
-            if ball_u[level if level < last else last] & fixed & ~vis:
-                return False
+            targets &= ~frontier
     return True
 
 

@@ -2,18 +2,23 @@
 
 The solver searches k-subsets for k = 1, 2, ... until a passing set exists,
 so minimality is by construction.  Each level is a depth-first search over
-sorted vertex prefixes in lex order with two monotone bounds.  It drops a
-prefix once no extension can dominate the graph, so the complement test runs
-on dominating sets only.  In the two complement modes it also drops a prefix
-once F, the vertices below its last vertex that it skipped, can no longer lie
-in a passing complement.  F stays outside every extension.  Its tests (the
-interval closure of F misses the prefix; every pair of F has a geodesic that
-avoids the prefix) only get harder as F and the prefix grow, so a dropped
-prefix has no passing extension.  The first passing set found is the one
-whose sorted vertex list is lexicographically smallest: the canonical
-witness.  A parallel run splits a level into contiguous ranges of least
-vertex and concatenates the parts in range order, which keeps lex order and
-the witness.
+sorted vertex prefixes in lex order with monotone bounds.  It drops a prefix
+once no extension can dominate the graph: when the vertices after its last
+one cannot cover what it leaves undominated, or when the picks still to come
+cannot cover that many vertices even at the largest closed neighbourhood
+among them (the counting bound behind gamma(G) >= n / (Delta + 1)).  So the
+complement test runs on dominating sets only.  In the two complement modes it
+also drops a prefix once F, the vertices below its last vertex that it
+skipped, can no longer lie in a passing complement.  F stays outside every
+extension.  Its tests (the interval closure of F misses the prefix; every
+pair of F has a geodesic that avoids the prefix) only get harder as F and the
+prefix grow, so a dropped prefix has no passing extension.  The geodesic test
+retests only the pairs that the last pick can have cut: a pair of F already
+cleared without that pick loses every geodesic only if the pick lies in its
+interval.  The first passing set found is the one whose sorted vertex list is
+lexicographically smallest: the canonical witness.  A parallel run splits a
+level into contiguous ranges of least vertex and concatenates the parts in
+range order, which keeps lex order and the witness.
 """
 
 from __future__ import annotations
@@ -99,12 +104,15 @@ def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
 def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | None = None) -> Iterator[int]:
     """Passing k-subset masks whose least vertex lies in [lo, hi), in lex order of vertex lists.
 
-    A depth-first search over sorted prefixes with two monotone bounds.
+    A depth-first search over sorted prefixes with monotone bounds.
 
     Domination: once a prefix and every vertex after its last one cannot
-    dominate the graph, it and its later siblings are dropped.  The last
-    vertex is read off as the AND of the closed neighbourhoods of the still
-    undominated vertices, so the complement test runs on dominating sets only.
+    dominate the graph, it and its later siblings are dropped.  A prefix is
+    also dropped when the ``left - 1`` picks still to come, all above its last
+    vertex, cannot cover what it leaves undominated even if each covers the
+    largest closed neighbourhood among those vertices.  The last vertex is
+    read off as the AND of the closed neighbourhoods of the still undominated
+    vertices, so the complement test runs on dominating sets only.
 
     Complement: let v be a prefix's largest vertex and F the vertices up to v
     outside the prefix (in a range task F holds every vertex below ``lo``).
@@ -115,7 +123,16 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
       prefix goes once I[F] meets it.  I[F] is grown one vertex at a time as
       F grows along the siblings and down the tree.
     - ``owc``: every pair of F needs a geodesic that misses the prefix, so
-      the prefix goes once some pair has none in G minus the prefix.
+      the prefix goes once some pair has none in G minus the prefix.  Along
+      the siblings of one parent P, ``known`` is the largest F proven to have
+      a geodesic for each of its pairs in G - P.  At the first sibling it is
+      the parent's own F, which the parent's passing test proved (at the
+      root, G is connected).  Sibling v can cut a pair a, b of ``known`` only
+      if v lies in I[a,b], so of the pairs inside ``known`` only those, read
+      off the shadow row of v, are tested again.  When sibling v fails, F is
+      tested in G - P itself: a pair with no geodesic there stays in the F of
+      every later sibling, so those siblings are dropped too.  Once F passes
+      either test, ``known`` becomes F.
 
     Extensions only grow F and the prefix, so a dropped prefix has no passing
     extension.  Leaves still run the full complement test.
@@ -124,14 +141,18 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
     n = len(adj)
     full = (1 << n) - 1
     closed = [a | 1 << v for v, a in enumerate(adj)]
-    # reach[v]: every vertex dominated by some w >= v
+    # reach[v]: every vertex dominated by some w >= v; most[v]: the largest |N[w]| over w >= v
     reach = [0] * (n + 1)
+    most = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         reach[v] = reach[v + 1] | closed[v]
+        most[v] = max(most[v + 1], closed[v].bit_count())
     owc = mode == MODE_OWC
     ocon = mode == MODE_OCON
     if owc:
         balls = cache.ball_masks
+        shadows = cache.shadow_masks
+        cleared = [0] * n
         outer_ok = lambda comp: weakly_convex_bits(adj, balls, comp, comp)
     elif ocon:
         outer_ok = cache.convex_bits
@@ -162,20 +183,29 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
                 last ^= low
             return
         # F of the prefix chosen + v: every vertex below v outside chosen.
-        # In ocon mode hull is I[fixed] throughout.
-        fixed = ((1 << start) - 1) & ~chosen
+        # In ocon mode hull is I[fixed] throughout; in owc mode every pair of
+        # known has a geodesic in G - chosen.
+        fixed = known = ((1 << start) - 1) & ~chosen
         for v in range(start, min(stop, n - left + 1)):
             if cover | reach[v] != full:
                 return
-            prefix = chosen | 1 << v
-            if ocon:
-                if hull & chosen:
-                    return
+            if ocon and hull & chosen:
+                return
+            grown = cover | closed[v]
+            if (full ^ grown).bit_count() > (left - 1) * most[v + 1]:
+                keep = False
+            elif ocon:
                 keep = not hull >> v & 1
+            elif owc:
+                keep = weakly_convex_bits(adj, balls, full ^ chosen ^ 1 << v, fixed, known, shadows[v])
+                # a pair of F with no geodesic in G - chosen fails every later sibling too
+                if not (keep or weakly_convex_bits(adj, balls, full ^ chosen, fixed, known, cleared)):
+                    return
+                known = fixed
             else:
-                keep = not owc or weakly_convex_bits(adj, balls, full ^ prefix, fixed)
+                keep = True
             if keep:
-                yield from extend(prefix, cover | closed[v], v + 1, n, left - 1, hull)
+                yield from extend(chosen | 1 << v, grown, v + 1, n, left - 1, hull)
             if ocon:
                 hull = close(hull, fixed, v)
             fixed |= 1 << v

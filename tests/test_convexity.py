@@ -116,6 +116,46 @@ def test_geodesic_kernel_matches_brute_force():
             )
 
 
+def test_geodesic_kernel_skips_only_cleared_pairs():
+    # known: members whose pairs have a geodesic inside avail + v; shadow row of v cuts their targets
+    rng = random.Random(41)
+
+    def joined(cache, inside, u, w):
+        return any(all(inside >> x & 1 for x in path) for path in geodesics(cache, u, w))
+
+    def cleared_subset(cache, inside, fixed):
+        known = 0
+        for u in VertexSet(cache.order, fixed & rng.getrandbits(cache.order)).vertices():
+            if all(joined(cache, inside, u, w) for w in VertexSet(cache.order, known).vertices()):
+                known |= 1 << u
+        return known
+
+    checked = 0
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(2, 10))
+        cache = IntervalCache(g)
+        n, full = g.order, (1 << g.order) - 1
+        shadows = cache.shadow_masks
+        for v in range(n):
+            for u in range(n):
+                expect = sum(1 << w for w in range(n) if cache.interval_bits(u, w) >> v & 1)
+                assert shadows[v][u] == expect, (g.edges(), v, u)
+        for _ in range(20):
+            v = rng.randrange(n)
+            blocked = rng.getrandbits(n) & rng.getrandbits(n) & ~(1 << v)
+            avail = full & ~blocked & ~(1 << v)
+            fixed = avail & rng.getrandbits(n)
+            members = VertexSet(n, fixed).vertices()
+            expect = all(joined(cache, avail, a, b) for a, b in itertools.combinations(members, 2))
+            # pairs cleared inside avail + v, then pairs cleared inside avail itself (a row of zeros)
+            for inside, shadow in ((avail | 1 << v, shadows[v]), (avail, [0] * n)):
+                known = cleared_subset(cache, inside, fixed)
+                got = weakly_convex_bits(cache.adj_bits, cache.ball_masks, avail, fixed, known, shadow)
+                assert got == expect, (g.edges(), v, blocked, fixed, known, inside)
+                checked += known.bit_count() > 1
+    assert checked > 1000
+
+
 def test_weakly_convex_trivial_sets():
     for g in SMALL:
         cache = IntervalCache(g)

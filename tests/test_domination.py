@@ -301,6 +301,48 @@ def test_grid_c7_p4_matches_the_unpruned_search(solver, witness):
     assert (res.value, res.witness.vertices()) == (14, witness)
 
 
+@pytest.mark.parametrize(
+    "factors, solver, witness",
+    [
+        ((path_graph(8), path_graph(4)), owc_domination_number,
+         (0, 1, 2, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28, 31)),
+        ((path_graph(8), path_graph(4)), outer_convex_domination_number,
+         (0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28, 31)),
+        ((cycle_graph(6), cycle_graph(5)), owc_domination_number,
+         (0, 1, 2, 3, 5, 6, 7, 8, 10, 11, 15, 16, 19, 20, 21, 24)),
+        ((cycle_graph(6), cycle_graph(5)), outer_convex_domination_number,
+         (0, 1, 2, 5, 6, 7, 10, 11, 12, 15, 16, 17, 20, 21, 22, 25, 26, 27)),
+    ],
+    ids=["p8_p4-owc", "p8_p4-ocon", "c6_c5-owc", "c6_c5-ocon"],
+)
+def test_grids_of_order_30_and_32(factors, solver, witness):
+    # value and canonical witness recorded with a search that tests every pair of F at every prefix
+    g = cartesian(*factors).graph
+    res = solver(g, cap=32, workers=1)
+    assert (res.value, res.witness.vertices()) == (len(witness), witness)
+
+
+def test_inner_prefix_tests_match_the_full_pair_test(monkeypatch):
+    # each geodesic test of _level_hits, with its cleared pairs skipped, gives the verdict of testing every pair
+    real = dom.weakly_convex_bits
+    calls = []
+
+    def checked(adj, balls, avail, fixed, *skip):
+        got = real(adj, balls, avail, fixed, *skip)
+        calls.append(bool(skip))
+        assert got == real(adj, balls, avail, fixed), (avail, fixed)
+        return got
+
+    monkeypatch.setattr(dom, "weakly_convex_bits", checked)
+    for g in FAMILIES + random_pool(37, 12, lo=6, hi=10):
+        cache = IntervalCache(g)
+        for k in range(2, g.order):
+            list(_level_hits(cache, k, MODE_OWC))
+            for lo in range(1, g.order):
+                list(_level_hits(cache, k, MODE_OWC, lo, lo + 1))
+    assert sum(calls) > 1000
+
+
 def test_parallel_scan_matches_serial(monkeypatch):
     monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
     for g in [path_graph(5), cycle_graph(6)] + random_pool(9, 4, lo=6, hi=8):
