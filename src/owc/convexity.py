@@ -20,24 +20,34 @@ from .graphs import UNREACHABLE, Graph, VertexSet, distance_matrix, iter_bits
 
 
 class IntervalCache:
-    """The one per-graph context: distances, adjacency, level, ball and shadow masks, intervals.
+    """The one per-graph context: distances, closed neighbourhoods, level, ball and shadow masks, intervals.
 
     Each Graph owns one context, built on first use by ``IntervalCache.of``;
     the solvers, the predicates, the recipes and the checks all read a graph
     through it.  A Graph never changes, so its context never goes stale.
-    Level, ball and shadow masks are built on first use; intervals are
-    memoized as raw masks per unordered pair, so the outer-convex scan and
-    ``is_convex`` share one memo.  Results of whole solves are not cached.
+    The closed neighbourhoods and the two domination bounds read off them
+    are built with the context.  Level, ball and shadow masks and the
+    interval table are built whole on first use; the outer-convex scan and
+    ``is_convex`` index the table's rows.  Results of whole solves are not
+    cached.
     """
 
     def __init__(self, g: Graph):
-        self.order = g.order
+        self.order = n = g.order
         self.dm = distance_matrix(g)
         self.adj_bits = g.adjacency_bits()
-        self._intervals: dict[tuple[int, int], int] = {}
+        # closed[v] is N[v]; reach[v] every vertex dominated by some w >= v;
+        # most[v] the largest |N[w]| over w >= v
+        closed = self.closed = [a | 1 << v for v, a in enumerate(self.adj_bits)]
+        reach = self.reach = [0] * (n + 1)
+        most = self.most = [0] * (n + 1)
+        for v in range(n - 1, -1, -1):
+            reach[v] = reach[v + 1] | closed[v]
+            most[v] = max(most[v + 1], closed[v].bit_count())
         self._levels: list[list[int]] | None = None
         self._balls: list[list[int]] | None = None
         self._shadows: list[list[int]] | None = None
+        self._interval_rows: list[list[int]] | None = None
 
     @classmethod
     def of(cls, g: Graph) -> "IntervalCache":
@@ -99,34 +109,62 @@ class IntervalCache:
             self._shadows = shadows
         return self._shadows
 
-    def interval_bits(self, u: int, v: int) -> int:
-        """Mask of I[u,v], memoized per unordered pair."""
-        key = (u, v) if u <= v else (v, u)
-        hit = self._intervals.get(key)
-        if hit is not None:
-            return hit
-        rows = self.dm.rows
-        ru, rv = rows[u], rows[v]
-        duv = ru[v]
-        if duv == UNREACHABLE:
-            raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
-        bits = 0
-        for w in range(self.order):
-            if ru[w] != UNREACHABLE and rv[w] != UNREACHABLE and ru[w] + rv[w] == duv:
-                bits |= 1 << w
-        self._intervals[key] = bits
-        return bits
+    @property
+    def interval_rows(self) -> list[list[int]]:
+        """``interval_rows[u][v]`` is the mask of I[u,v]: the w with d(u,w) + d(w,v) = d(u,v).
 
-    def convex_bits(self, cbits: int) -> bool:
-        """Convexity test on a raw mask: every interval between members stays inside it."""
-        if cbits & (cbits - 1) == 0:
-            return True
-        members = tuple(iter_bits(cbits))
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if self.interval_bits(u, v) & ~cbits:
-                    return False
-        return True
+        Built once as the OR over d of ``level_masks[u][d] & level_masks[v][d(u,v) - d]``;
+        the entry of a disconnected pair is 0.
+        """
+        if self._interval_rows is None:
+            levels = self.level_masks
+            dist = self.dm.rows
+            table = [[0] * self.order for _ in range(self.order)]
+            for u, lvl_u in enumerate(levels):
+                row = table[u]
+                row[u] = 1 << u
+                for v in range(u):
+                    duv = dist[u][v]
+                    if duv != UNREACHABLE:
+                        lvl_v = levels[v]
+                        bits = 0
+                        for d in range(duv + 1):
+                            bits |= lvl_u[d] & lvl_v[duv - d]
+                        row[v] = table[v][u] = bits
+            self._interval_rows = table
+        return self._interval_rows
+
+    def interval_bits(self, u: int, v: int) -> int:
+        """Mask of I[u,v]; a disconnected pair raises ValueError."""
+        if self.dm.rows[u][v] == UNREACHABLE:
+            raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
+        return self.interval_rows[u][v]
+
+
+def convex_bits(rows: list[list[int]], cbits: int) -> bool:
+    """True iff every interval between two members of ``cbits`` stays inside it.
+
+    Raw masks over the rows of ``IntervalCache.interval_rows``.  The members
+    are taken as sources from the highest down, and the targets of a source
+    u are the members below it.  Once I[u,v] lies inside the set, so does
+    I[u,w] for every w in I[u,v], so those targets are dropped untested.  A
+    disconnected pair has an empty interval and passes: callers that may see
+    one (``is_convex``) check connectivity first.
+    """
+    out = ~cbits
+    rest = cbits
+    while rest & (rest - 1):
+        u = rest.bit_length() - 1
+        rest ^= 1 << u
+        row = rows[u]
+        targets = rest
+        while targets:
+            low = targets & -targets
+            span = row[low.bit_length() - 1]
+            if span & out:
+                return False
+            targets &= ~(span | low)
+    return True
 
 
 def interval(cache: IntervalCache, u: int, v: int) -> VertexSet:
@@ -146,7 +184,12 @@ def interval_closure(cache: IntervalCache, d: VertexSet) -> VertexSet:
 
 def is_convex(cache: IntervalCache, d: VertexSet) -> bool:
     """True iff d is closed under geodesics: I[D] = D."""
-    return cache.convex_bits(d.bits)
+    members = d.vertices()
+    row = cache.dm.rows[members[0]] if members else ()
+    for v in members:
+        if row[v] == UNREACHABLE:
+            raise ValueError(f"vertices {members[0]} and {v} are disconnected; no geodesic exists")
+    return convex_bits(cache.interval_rows, d.bits)
 
 
 def weakly_convex_bits(

@@ -28,10 +28,11 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterator
 
-from .convexity import IntervalCache, is_convex, weakly_convex_bits
+from .convexity import IntervalCache, convex_bits, is_convex, weakly_convex_bits
 from .graphs import UNREACHABLE, Graph, VertexSet, iter_bits
 
 DEFAULT_CAP = 24
@@ -71,20 +72,32 @@ def is_dominating(g: Graph, d: VertexSet) -> bool:
     return cover == (1 << g.order) - 1
 
 
+def _dominates(cache: IntervalCache, bits: int) -> bool:
+    """``is_dominating`` on a raw mask, over the context's closed neighbourhoods."""
+    closed = cache.closed
+    cover = 0
+    while bits:
+        low = bits & -bits
+        cover |= closed[low.bit_length() - 1]
+        bits ^= low
+    return cover == (1 << cache.order) - 1
+
+
 def is_owc_dominating(g: Graph, d: VertexSet) -> bool:
     """Dominating with a weakly convex complement."""
-    if not is_dominating(g, d):
-        return False
     cache = IntervalCache.of(g)
+    if not _dominates(cache, d.bits):
+        return False
     comp = d.bits ^ ((1 << g.order) - 1)
     return weakly_convex_bits(cache.adj_bits, cache.ball_masks, comp, comp)
 
 
 def is_outer_convex_dominating(g: Graph, d: VertexSet) -> bool:
     """Dominating with a convex complement."""
-    if not is_dominating(g, d):
+    cache = IntervalCache.of(g)
+    if not _dominates(cache, d.bits):
         return False
-    return is_convex(IntervalCache.of(g), d.complement())
+    return is_convex(cache, d.complement())
 
 
 def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
@@ -140,13 +153,7 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
     adj = cache.adj_bits
     n = len(adj)
     full = (1 << n) - 1
-    closed = [a | 1 << v for v, a in enumerate(adj)]
-    # reach[v]: every vertex dominated by some w >= v; most[v]: the largest |N[w]| over w >= v
-    reach = [0] * (n + 1)
-    most = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | closed[v]
-        most[v] = max(most[v + 1], closed[v].bit_count())
+    closed, reach, most = cache.closed, cache.reach, cache.most
     owc = mode == MODE_OWC
     ocon = mode == MODE_OCON
     if owc:
@@ -155,16 +162,21 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
         cleared = [0] * n
         outer_ok = lambda comp: weakly_convex_bits(adj, balls, comp, comp)
     elif ocon:
-        outer_ok = cache.convex_bits
-        interval_bits = cache.interval_bits
+        rows = cache.interval_rows
+        outer_ok = partial(convex_bits, rows)
     else:
         outer_ok = None
 
     def close(hull: int, fixed: int, w: int) -> int:
         """I[fixed + w], given hull = I[fixed]."""
+        row = rows[w]
         hull |= 1 << w
-        for a in iter_bits(fixed):
-            hull |= interval_bits(a, w)
+        # a in I[w,b] has I[w,a] inside I[w,b], so b covers a
+        while fixed:
+            low = fixed & -fixed
+            span = row[low.bit_length() - 1]
+            hull |= span
+            fixed &= ~(span | low)
         return hull
 
     def extend(chosen: int, cover: int, start: int, stop: int, left: int, hull: int) -> Iterator[int]:

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import networkx as nx
+import pytest
 
 from owc.convexity import (
     IntervalCache,
@@ -72,6 +73,40 @@ def test_is_convex_matches_naive():
         cache = IntervalCache(g)
         for s in subsets_as_vertexsets(g.order):
             assert is_convex(cache, s) == naive_convex(g, s), (g.name, s)
+
+
+def test_interval_table_matches_naive_on_larger_graphs():
+    rng = random.Random(53)
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randint(9, 14))
+        cache = IntervalCache(g)
+        rows, shadows = cache.interval_rows, cache.shadow_masks
+        for u in range(g.order):
+            for w in range(g.order):
+                assert set(VertexSet(g.order, rows[u][w])) == naive_interval(g, u, w), (g.edges(), u, w)
+                # transpose: w in the shadow of v from u iff v in I[u,w]
+                for v in range(g.order):
+                    assert shadows[v][u] >> w & 1 == rows[u][w] >> v & 1, (g.edges(), u, v, w)
+        for _ in range(25):
+            s = VertexSet(g.order, rng.getrandbits(g.order))
+            assert is_convex(cache, s) == naive_convex(g, s), (g.edges(), s.vertices())
+
+
+def test_disconnected_pairs_raise():
+    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
+    cache = IntervalCache(g)
+    apart = VertexSet.of(4, [0, 2])
+    for call in (
+        lambda: interval(cache, 0, 2),
+        lambda: interval_closure(cache, apart),
+        lambda: is_convex(cache, apart),
+        lambda: is_convex(cache, VertexSet.full(4)),
+    ):
+        with pytest.raises(ValueError, match="disconnected; no geodesic exists"):
+            call()
+    # pairs inside one component still have their intervals
+    assert interval(cache, 2, 3).vertices() == (2, 3)
+    assert is_convex(cache, VertexSet.of(4, [0, 1]))
 
 
 def test_weakly_convex_matches_networkx_exhaustive():

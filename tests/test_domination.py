@@ -35,7 +35,7 @@ from owc.graphs import (
     path_graph,
     star_graph,
 )
-from owc.products import cartesian
+from owc.products import cartesian, lexicographic, strong
 
 from naive import (
     naive_convex,
@@ -212,6 +212,13 @@ def test_rejects_disconnected_and_oversize():
         owc_domination_number(path_graph(6), cap=5)
 
 
+def test_outer_convex_predicate_rejects_a_disconnected_pair():
+    # {0, 3} dominates 0-1, 2-3, but its complement {1, 2} has no geodesic
+    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="disconnected; no geodesic exists"):
+        is_outer_convex_dominating(g, VertexSet.of(4, [0, 3]))
+
+
 NAIVE_PREDICATES = {
     MODE_DOMINATING: naive_dominating,
     MODE_OWC: naive_owc_dominating,
@@ -319,6 +326,21 @@ def test_grids_of_order_30_and_32(factors, solver, witness):
     # value and canonical witness recorded with a search that tests every pair of F at every prefix
     g = cartesian(*factors).graph
     res = solver(g, cap=32, workers=1)
+    assert (res.value, res.witness.vertices()) == (len(witness), witness)
+
+
+@pytest.mark.parametrize(
+    "product, witness",
+    [
+        (strong, tuple(range(22)) + (24, 25, 26, 30, 31, 32, 35)),
+        (lexicographic, tuple(range(28)) + (30, 31, 32, 33)),
+    ],
+    ids=["c6_strong_c6", "c6_lex_c6"],
+)
+def test_outer_convex_at_order_36(product, witness):
+    # value and canonical witness recorded with the per-pair interval memo the table replaced
+    g = product(cycle_graph(6), cycle_graph(6)).graph
+    res = outer_convex_domination_number(g, cap=36, workers=1)
     assert (res.value, res.witness.vertices()) == (len(witness), witness)
 
 
