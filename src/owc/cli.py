@@ -7,7 +7,6 @@ one FAIL verdict, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -34,10 +33,6 @@ from .harness import (
 from .products import product
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="owc",
@@ -47,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, cap_default: int | None = DEFAULT_CAP) -> None:
         p.add_argument("--cap", type=int, default=cap_default, help="solver order cap")
-        p.add_argument("--workers", type=int, default=_default_workers(), help="parallel workers")
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted and ignored; the search runs in one process"
+        )
 
     p_compute = sub.add_parser("compute", help="compute an invariant of one graph")
     p_compute.add_argument("--family", required=True, help="graph spec, e.g. cycle:4 or @file.g6")
@@ -100,16 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = graph_from_spec(args.family)
     if args.invariant == "owcon":
-        r = owc_domination_number(g, cap=args.cap, workers=args.workers)
+        r = owc_domination_number(g, cap=args.cap)
         print(f"gamma_wcon={r.value} witness={r.witness}")
     elif args.invariant == "ocon":
-        r = outer_convex_domination_number(g, cap=args.cap, workers=args.workers)
+        r = outer_convex_domination_number(g, cap=args.cap)
         print(f"gamma_ocon={r.value} witness={r.witness}")
     elif args.invariant == "gamma":
-        r = domination_number(g, cap=args.cap, workers=args.workers)
+        r = domination_number(g, cap=args.cap)
         print(f"gamma={r.value} witness={r.witness}")
     else:
-        v = script_p(g, cap=args.cap, workers=args.workers)
+        v = script_p(g, cap=args.cap)
         print(f"script_p={v}")
     return 0
 
@@ -159,7 +156,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.sample is not None:
         cfg = replace(cfg, sample=args.sample)
-    reports = run_sweep(cfg, workers=args.workers, timings=args.timings)
+    reports = run_sweep(cfg, timings=args.timings)
     _emit(reports, args)
     return 1 if any_failures(reports) else 0
 

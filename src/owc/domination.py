@@ -16,17 +16,14 @@ prefix grow, so a dropped prefix has no passing extension.  The geodesic test
 retests only the pairs that the last pick can have cut: a pair of F already
 cleared without that pick loses every geodesic only if the pick lies in its
 interval.  The first passing set found is the one whose sorted vertex list is
-lexicographically smallest: the canonical witness.  A parallel run splits a
-level into contiguous ranges of least vertex and concatenates the parts in
-range order, which keeps lex order and the witness.
+lexicographically smallest: the canonical witness.  The search runs in one
+process; the solvers' ``workers`` argument is accepted and ignored.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -41,9 +38,6 @@ DEFAULT_CAP = 24
 MODE_DOMINATING = "dominating"
 MODE_OWC = "outer_weakly_convex"
 MODE_OCON = "outer_convex"
-
-# Below this many candidates a level is scanned inline even when workers > 1.
-_PARALLEL_THRESHOLD = 50_000
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,8 @@ def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
 # Search engine
 
 
-def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | None = None) -> Iterator[int]:
-    """Passing k-subset masks whose least vertex lies in [lo, hi), in lex order of vertex lists.
+def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
+    """Passing k-subset masks, in lex order of vertex lists.
 
     A depth-first search over sorted prefixes with monotone bounds.
 
@@ -128,9 +122,9 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
     vertices, so the complement test runs on dominating sets only.
 
     Complement: let v be a prefix's largest vertex and F the vertices up to v
-    outside the prefix (in a range task F holds every vertex below ``lo``).
-    Later picks are above v, so F stays in the complement of every extension,
-    and the prefix is dropped once F fails a necessary condition:
+    outside the prefix.  Later picks are above v, so F stays in the complement
+    of every extension, and the prefix is dropped once F fails a necessary
+    condition:
 
     - ``ocon``: a convex complement holds the interval closure I[F], so the
       prefix goes once I[F] meets it.  I[F] is grown one vertex at a time as
@@ -179,9 +173,9 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
             fixed &= ~(span | low)
         return hull
 
-    def extend(chosen: int, cover: int, start: int, stop: int, left: int, hull: int) -> Iterator[int]:
+    def extend(chosen: int, cover: int, start: int, left: int, hull: int) -> Iterator[int]:
         if left == 1:
-            last = ((1 << stop) - 1) >> start << start
+            last = full >> start << start
             rest = full ^ cover
             while rest and last:
                 low = rest & -rest
@@ -198,7 +192,7 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
         # In ocon mode hull is I[fixed] throughout; in owc mode every pair of
         # known has a geodesic in G - chosen.
         fixed = known = ((1 << start) - 1) & ~chosen
-        for v in range(start, min(stop, n - left + 1)):
+        for v in range(start, n - left + 1):
             if cover | reach[v] != full:
                 return
             if ocon and hull & chosen:
@@ -217,58 +211,12 @@ def _level_hits(cache: IntervalCache, k: int, mode: str, lo: int = 0, hi: int | 
             else:
                 keep = True
             if keep:
-                yield from extend(chosen | 1 << v, grown, v + 1, n, left - 1, hull)
+                yield from extend(chosen | 1 << v, grown, v + 1, left - 1, hull)
             if ocon:
                 hull = close(hull, fixed, v)
             fixed |= 1 << v
 
-    hull = 0
-    if ocon:
-        for w in range(lo):
-            hull = close(hull, (1 << w) - 1, w)
-    return extend(0, 0, lo, n if hi is None else hi, k, hull)
-
-
-def _first_vertex_ranges(n: int, k: int, parts: int) -> list[tuple[int, int]]:
-    """Split the least vertex of a k-subset into contiguous ranges of about equal subset counts."""
-    total = math.comb(n, k)
-    ranges: list[tuple[int, int]] = []
-    lo = done = 0
-    for v in range(n - k + 1):
-        done += math.comb(n - 1 - v, k - 1)
-        if done * parts >= total * (len(ranges) + 1):
-            ranges.append((lo, v + 1))
-            lo = v + 1
-    return ranges
-
-
-def _scan_worker(args: tuple[tuple[int, ...], str, int, int, int, int | None]) -> list[int]:
-    adj, mode, k, lo, hi, limit = args
-    order = len(adj)
-    g = Graph(order, (VertexSet(order, b) for b in adj))
-    return list(islice(_level_hits(IntervalCache.of(g), k, mode, lo, hi), limit))
-
-
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        _POOLS[workers] = pool
-        atexit.register(pool.shutdown)
-    return pool
-
-
-def _scan_level(cache: IntervalCache, k: int, mode: str, workers: int, limit: int | None) -> list[int]:
-    """The first ``limit`` passing k-subset masks in lex order (all of them for None)."""
-    n = cache.order
-    if workers <= 1 or math.comb(n, k) < _PARALLEL_THRESHOLD:
-        return list(islice(_level_hits(cache, k, mode), limit))
-    tasks = [(cache.adj_bits, mode, k, lo, hi, limit) for lo, hi in _first_vertex_ranges(n, k, workers)]
-    found = [bits for part in _get_pool(workers).map(_scan_worker, tasks) for bits in part]
-    return found[:limit]
+    return extend(0, 0, 0, k, 0)
 
 
 def _context(g: Graph, cap: int) -> IntervalCache:
@@ -283,15 +231,13 @@ def _context(g: Graph, cap: int) -> IntervalCache:
     return cache
 
 
-def _solve_min(
-    g: Graph, mode: str, cap: int, workers: int, limit: int | None = 1
-) -> tuple[OwcResult, list[int]]:
+def _solve_min(g: Graph, mode: str, cap: int, limit: int | None = 1) -> tuple[OwcResult, list[int]]:
     """The least level with a passing set, and the first ``limit`` passing masks on it."""
     cache = _context(g, cap)
     t0 = time.perf_counter()
     examined = 0
     for k in range(1, g.order + 1):
-        found = _scan_level(cache, k, mode, workers, limit)
+        found = list(islice(_level_hits(cache, k, mode), limit))
         examined += math.comb(g.order, k)
         if found:
             return OwcResult(k, VertexSet(g.order, found[0]), examined, time.perf_counter() - t0), found
@@ -304,22 +250,22 @@ def _solve_min(
 
 def domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> OwcResult:
     """Exact domination number with canonical witness."""
-    return _solve_min(g, MODE_DOMINATING, cap, workers)[0]
+    return _solve_min(g, MODE_DOMINATING, cap)[0]
 
 
 def owc_domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> OwcResult:
     """Exact outer-weakly convex domination number with canonical witness."""
-    return _solve_min(g, MODE_OWC, cap, workers)[0]
+    return _solve_min(g, MODE_OWC, cap)[0]
 
 
 def outer_convex_domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> OwcResult:
     """Exact outer-convex domination number with canonical witness."""
-    return _solve_min(g, MODE_OCON, cap, workers)[0]
+    return _solve_min(g, MODE_OCON, cap)[0]
 
 
 def enumerate_min_owc_sets(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> list[VertexSet]:
     """All minimum outer-weakly convex dominating sets, sorted by vertex list."""
-    _, found = _solve_min(g, MODE_OWC, cap, workers, limit=None)
+    _, found = _solve_min(g, MODE_OWC, cap, limit=None)
     return [VertexSet(g.order, bits) for bits in found]
 
 
@@ -330,7 +276,7 @@ def sets_of_size(
     cache = _context(g, cap)
     if not 0 < k <= g.order:
         raise ValueError(f"size {k} out of range for order {g.order}")
-    return [VertexSet(g.order, bits) for bits in _scan_level(cache, k, mode, workers, None)]
+    return [VertexSet(g.order, bits) for bits in _level_hits(cache, k, mode)]
 
 
 SCRIPT_P_WEAKLY_CONVEX = "weakly_convex"
@@ -353,15 +299,15 @@ def script_p(
     (returns None then).
     """
     if mode == SCRIPT_P_WEAKLY_CONVEX:
-        return script_p_realizer(g, cap=cap, workers=workers)[1]
+        return script_p_realizer(g, cap=cap)[1]
     if mode != SCRIPT_P_CONVEX:
         raise ValueError(f"unknown script_p mode {mode!r}")
-    value = owc_domination_number(g, cap=cap, workers=workers).value
-    candidates = sets_of_size(g, value, MODE_OCON, cap=cap, workers=workers)
+    value = owc_domination_number(g, cap=cap).value
+    candidates = sets_of_size(g, value, MODE_OCON, cap=cap)
     return min((len(isolated_in_induced(g, s)) for s in candidates), default=None)
 
 
 def script_p_realizer(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> tuple[VertexSet, int]:
     """A canonical minimum OWC dominating set with the fewest induced-isolated vertices."""
-    scored = ((s, len(isolated_in_induced(g, s))) for s in enumerate_min_owc_sets(g, cap=cap, workers=workers))
+    scored = ((s, len(isolated_in_induced(g, s))) for s in enumerate_min_owc_sets(g, cap=cap))
     return min(scored, key=lambda sp: sp[1])

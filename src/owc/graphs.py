@@ -2,8 +2,7 @@
 
 Vertices are dense integers ``0..n-1`` and every vertex set is an integer bit
 mask wrapped in :class:`VertexSet`, so subset-heavy searches stay bit-parallel.
-Graphs are immutable after construction and may be shared freely between
-parallel workers.
+Graphs are immutable after construction.
 """
 
 from __future__ import annotations

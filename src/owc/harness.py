@@ -148,10 +148,9 @@ def _bound_report(
     upper: int,
     notes: list[str],
     cap: int,
-    workers: int,
 ) -> BoundReport:
     ok = {cs.recipe: recipes.verify_on_product(p, cs) for cs in built}
-    exact = owc_domination_number(p.graph, cap=cap, workers=workers)
+    exact = owc_domination_number(p.graph, cap=cap)
     for cs in built:
         if cs.size != cs.expected_size:
             notes.append(f"{cs.recipe}: built size {cs.size} below closed form {cs.expected_size}")
@@ -173,7 +172,7 @@ def _bound_report(
 # Bound checks
 
 
-def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
+def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP) -> BoundReport:
     """min{m,n} <= gamma_wcon(G box H) <= min{gamma_wcon(G)*n, gamma_wcon(H)*m}."""
     p = cartesian(g, h)
     if skipped := _factor_skip("check_cartesian", p, (g, h), cap):
@@ -192,10 +191,10 @@ def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int 
         recipes.cartesian_left_cover(p, rg.witness),
         recipes.cartesian_right_cover(p, rh.witness),
     ]
-    return _bound_report("check_cartesian", p, built, lower, upper, notes, cap, workers)
+    return _bound_report("check_cartesian", p, built, lower, upper, notes, cap)
 
 
-def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
+def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP) -> BoundReport:
     """max{gamma(G),gamma(H)} <= gamma_wcon(G strong H) <= min{gamma_wcon(G)*n, gamma_wcon(H)*m}."""
     p = strong(g, h)
     if skipped := _factor_skip("check_strong", p, (g, h), cap):
@@ -210,10 +209,10 @@ def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1
         recipes.strong_left_cover(p, rg.witness),
         recipes.strong_right_cover(p, rh.witness),
     ]
-    return _bound_report("check_strong", p, built, lower, upper, [], cap, workers)
+    return _bound_report("check_strong", p, built, lower, upper, [], cap)
 
 
-def check_strong_kn(g: Graph, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
+def check_strong_kn(g: Graph, n: int, *, cap: int = DEFAULT_CAP) -> BoundReport:
     """gamma_wcon(G strong K_n) equals gamma_wcon(G)."""
     p = strong(g, complete_graph(n))
     if skipped := _factor_skip("check_strong_kn", p, (g,), cap):
@@ -222,10 +221,10 @@ def check_strong_kn(g: Graph, n: int, *, cap: int = DEFAULT_CAP, workers: int = 
     if p.order > cap:
         return _skip_report("check_strong_kn", p, cap, lower=rg.value, upper=rg.value)
     built = [recipes.strong_kn_slice(p, rg.witness)]
-    return _bound_report("check_strong_kn", p, built, rg.value, rg.value, [], cap, workers)
+    return _bound_report("check_strong_kn", p, built, rg.value, rg.value, [], cap)
 
 
-def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
+def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP) -> BoundReport:
     """gamma_wcon(G strong K_{m,n}) <= 2*gamma(G) for m,n >= 2; equality 2 for complete G."""
     if m < 2 or n < 2:
         raise ValueError(f"both parts must be >= 2, got {m},{n}")
@@ -241,10 +240,10 @@ def check_strong_kmn(g: Graph, m: int, n: int, *, cap: int = DEFAULT_CAP, worker
     if is_complete_graph(g):
         notes.append("complete G: sharpness expects exact=2")
     built = [recipes.strong_kmn_pair(p, dg.witness)]
-    return _bound_report("check_strong_kmn", p, built, lower, upper, notes, cap, workers)
+    return _bound_report("check_strong_kmn", p, built, lower, upper, notes, cap)
 
 
-def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> BoundReport:
+def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP) -> BoundReport:
     """gamma_wcon(G) <= gamma_wcon(G lex H) <= gamma_wcon(G) + P_G."""
     p = lexicographic(g, h)
     if skipped := _factor_skip("check_lexicographic", p, (g,), cap):
@@ -263,7 +262,7 @@ def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP, workers: 
         other = "none" if p_convex is None else str(p_convex)
         notes.append(f"P_G readings differ: weakly_convex={p_g}, convex={other}")
     built = [recipes.lexico_anchor(p, s)]
-    return _bound_report("check_lexicographic", p, built, lower, upper, notes, cap, workers)
+    return _bound_report("check_lexicographic", p, built, lower, upper, notes, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +300,12 @@ def _sample_passing_sets(p: ProductGraph, minimum: int, sample: int, rng: random
 
 
 def _projection_report(
-    check: str, p: ProductGraph, sides: tuple[str, ...], cap: int, workers: int, sample: int, seed: int
+    check: str, p: ProductGraph, sides: tuple[str, ...], cap: int, sample: int, seed: int
 ) -> BoundReport:
     cap = min(cap, PROJECTION_CAP)
     if p.order > cap:
         return _skip_report(check, p, cap)
-    min_sets = enumerate_min_owc_sets(p.graph, cap=cap, workers=workers)
+    min_sets = enumerate_min_owc_sets(p.graph, cap=cap)
     exact = len(min_sets[0])
     rng = random.Random(f"{seed}:{check}:{p.graph.name}")
     sampled = _sample_passing_sets(p, exact, sample, rng)
@@ -327,19 +326,19 @@ def _projection_report(
 
 
 def check_cartesian_projection(
-    g: Graph, h: Graph, *, cap: int = PROJECTION_CAP, workers: int = 1, sample: int = 20, seed: int = 7
+    g: Graph, h: Graph, *, cap: int = PROJECTION_CAP, sample: int = 20, seed: int = 7
 ) -> BoundReport:
     """Projections of OWC dominating sets of G box H are OWC dominating in both factors."""
     p = cartesian(g, h)
-    return _projection_report("check_cartesian_projection", p, ("left", "right"), cap, workers, sample, seed)
+    return _projection_report("check_cartesian_projection", p, ("left", "right"), cap, sample, seed)
 
 
 def check_lexico_projection(
-    g: Graph, h: Graph, *, cap: int = PROJECTION_CAP, workers: int = 1, sample: int = 20, seed: int = 7
+    g: Graph, h: Graph, *, cap: int = PROJECTION_CAP, sample: int = 20, seed: int = 7
 ) -> BoundReport:
     """Left projections of OWC dominating sets of G lex H are OWC dominating in G."""
     p = lexicographic(g, h)
-    return _projection_report("check_lexico_projection", p, ("left",), cap, workers, sample, seed)
+    return _projection_report("check_lexico_projection", p, ("left",), cap, sample, seed)
 
 
 def check_cartesian_rectangle(g: Graph, h: Graph) -> BoundReport:
@@ -389,7 +388,7 @@ _ORDERED_PAIRS = ArgSource(("left", "right"), lambda pool, cfg: ((g, h) for g in
 _POOL_KN = ArgSource(("left", "n"), lambda pool, cfg: ((g, n) for g in pool for n in cfg.kn))
 _POOL_KMN = ArgSource(("left", "m", "n"), lambda pool, cfg: ((g, m, n) for g in pool for m, n in cfg.kmn))
 
-_SOLVER_OPTIONS = ("cap", "workers")
+_SOLVER_OPTIONS = ("cap",)
 _SAMPLING_OPTIONS = _SOLVER_OPTIONS + ("sample", "seed")
 
 
@@ -422,7 +421,7 @@ def run_check(
 ) -> list[BoundReport]:
     """Run each function of check ``name`` on every argument tuple ``arguments`` gives its source.
 
-    ``options`` holds cap, workers, timings, sample and seed; each function
+    ``options`` holds cap, timings, sample and seed; each function
     takes the ones its table row names.  With ``timings`` set, each report's
     elapsed_ms is the wall time of its call.
     """
@@ -567,9 +566,12 @@ def build_pool(cfg: SweepConfig) -> list[Graph]:
 def run_sweep(
     cfg: SweepConfig, *, workers: int = 1, timings: bool = False
 ) -> list[BoundReport]:
-    """Run the configured checks over the family pool, in config order."""
+    """Run the configured checks over the family pool, in config order.
+
+    ``workers`` is accepted and ignored: every solve runs in this process.
+    """
     pool = build_pool(cfg)
-    options = {"cap": cfg.cap, "workers": workers, "timings": timings, "sample": cfg.sample, "seed": cfg.seed}
+    options = {"cap": cfg.cap, "timings": timings, "sample": cfg.sample, "seed": cfg.seed}
     reports: list[BoundReport] = []
     for name in cfg.checks:
         reports += run_check(name, lambda source: source.sweep(pool, cfg), options)

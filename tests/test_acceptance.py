@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-import owc.domination as dom
 from owc.constructions import lexico_anchor, strong_kmn_pair, strong_kn_slice
 from owc.convexity import IntervalCache, is_weakly_convex, is_weakly_convex_oracle
 from owc.domination import domination_number, owc_domination_number, script_p, script_p_realizer
@@ -343,7 +342,7 @@ kn=2
 """
 
 
-def test_criterion_10_determinism(monkeypatch):
+def test_criterion_10_determinism():
     t0 = time.perf_counter()
     problems = []
     cfg = parse_sweep_config(ACCEPTANCE_SWEEP)
@@ -360,8 +359,6 @@ def test_criterion_10_determinism(monkeypatch):
     if texts[0] != texts[1]:
         problems.append("workers=1 reruns are not byte-identical")
 
-    # force the parallel scan path even on tiny levels
-    monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
     parallel = run_sweep(cfg, workers=8)
     triples = [(r.exact, r.verdict, r.witness) for r in serial_a]
     par_triples = [(r.exact, r.verdict, r.witness) for r in parallel]

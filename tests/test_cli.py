@@ -288,6 +288,20 @@ def test_installed_console_script():
     assert proc.stdout == "gamma_wcon=2 witness={0,1}\n"
 
 
+def test_cold_start_loads_no_process_pool():
+    # Every solve runs in one process, so no CLI call pays for importing a pool.
+    src = str(Path(owc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import owc, owc.cli, sys; "
+        "print(' '.join(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "owc.cli", "compute", "--family", "path:3"],

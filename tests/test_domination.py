@@ -99,9 +99,7 @@ def test_numbers_match_naive_on_random_graphs():
         assert owc_domination_number(g).value == naive_owc_domination_number(g)
 
 
-def test_outer_convex_scan_matches_naive(monkeypatch):
-    # workers=2 runs every level through the process pool
-    monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
+def test_outer_convex_scan_matches_naive():
     for g in FAMILIES + random_pool(61, 8, lo=5, hi=8):
         hits = {
             k: [c for c in itertools.combinations(range(g.order), k) if naive_ocon_dominating(g, c)]
@@ -275,24 +273,6 @@ def test_grid_p6_p4_value_witness_and_examined(workers):
     assert res.examined == 7_036_529 == sum(math.comb(24, k) for k in range(1, 12))
 
 
-def test_range_tasks_keep_the_prune_sound(monkeypatch):
-    # a range task whose least vertex is above 0 starts with every vertex below it in F
-    monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
-    for g in FAMILIES[4:10] + random_pool(31, 5, lo=6, hi=9):
-        cache = IntervalCache(g)
-        for mode, predicate in NAIVE_PREDICATES.items():
-            for k in range(1, g.order + 1):
-                expect = [c for c in itertools.combinations(range(g.order), k) if predicate(g, c)]
-                got = [s.vertices() for s in sets_of_size(g, k, mode, workers=2)]
-                assert got == expect, (g.name, mode, k)
-                by_range = [
-                    VertexSet(g.order, bits).vertices()
-                    for lo in range(g.order)
-                    for bits in _level_hits(cache, k, mode, lo, lo + 1)
-                ]
-                assert by_range == expect, (g.name, mode, k)
-
-
 @pytest.mark.parametrize(
     "solver, witness",
     [
@@ -360,13 +340,10 @@ def test_inner_prefix_tests_match_the_full_pair_test(monkeypatch):
         cache = IntervalCache(g)
         for k in range(2, g.order):
             list(_level_hits(cache, k, MODE_OWC))
-            for lo in range(1, g.order):
-                list(_level_hits(cache, k, MODE_OWC, lo, lo + 1))
     assert sum(calls) > 1000
 
 
-def test_parallel_scan_matches_serial(monkeypatch):
-    monkeypatch.setattr(dom, "_PARALLEL_THRESHOLD", 1)
+def test_parallel_scan_matches_serial():
     for g in [path_graph(5), cycle_graph(6)] + random_pool(9, 4, lo=6, hi=8):
         serial = owc_domination_number(g, workers=1)
         parallel = owc_domination_number(g, workers=2)
