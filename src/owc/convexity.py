@@ -134,10 +134,15 @@ class IntervalCache:
             self._interval_rows = table
         return self._interval_rows
 
+    def _distance(self, u: int, v: int) -> int:
+        """d(u,v); a disconnected pair raises ValueError."""
+        if (d := self.dm.rows[u][v]) == UNREACHABLE:
+            raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
+        return d
+
     def interval_bits(self, u: int, v: int) -> int:
         """Mask of I[u,v]; a disconnected pair raises ValueError."""
-        if self.dm.rows[u][v] == UNREACHABLE:
-            raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
+        self._distance(u, v)
         return self.interval_rows[u][v]
 
 
@@ -185,10 +190,8 @@ def interval_closure(cache: IntervalCache, d: VertexSet) -> VertexSet:
 def is_convex(cache: IntervalCache, d: VertexSet) -> bool:
     """True iff d is closed under geodesics: I[D] = D."""
     members = d.vertices()
-    row = cache.dm.rows[members[0]] if members else ()
     for v in members:
-        if row[v] == UNREACHABLE:
-            raise ValueError(f"vertices {members[0]} and {v} are disconnected; no geodesic exists")
+        cache._distance(members[0], v)
     return convex_bits(cache.interval_rows, d.bits)
 
 
@@ -245,10 +248,7 @@ def is_weakly_convex(cache: IntervalCache, d: VertexSet) -> bool:
 
 def geodesics(cache: IntervalCache, u: int, v: int) -> Iterator[tuple[int, ...]]:
     """Enumerate every u-v geodesic by walking the shortest-path DAG of I[u,v]."""
-    rows = cache.dm.rows
-    duv = rows[u][v]
-    if duv == UNREACHABLE:
-        raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
+    duv = cache._distance(u, v)
     adj = cache.adj_bits
     lvl_u = cache.level_masks[u]
     lvl_v = cache.level_masks[v]

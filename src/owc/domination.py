@@ -57,30 +57,25 @@ class OwcResult:
 # Predicates
 
 
-def is_dominating(g: Graph, d: VertexSet) -> bool:
-    """True iff every vertex outside d has a neighbor in d."""
-    adj = g.adjacency_bits()
-    cover = d.bits
-    for v in iter_bits(d.bits):
-        cover |= adj[v]
-    return cover == (1 << g.order) - 1
-
-
-def _dominates(cache: IntervalCache, bits: int) -> bool:
-    """``is_dominating`` on a raw mask, over the context's closed neighbourhoods."""
-    closed = cache.closed
-    cover = 0
+def _dominates(adj: tuple[int, ...], bits: int) -> bool:
+    """True iff every vertex is in ``bits`` or a neighbour, under ``adj``, of a vertex in it."""
+    cover = bits
     while bits:
         low = bits & -bits
-        cover |= closed[low.bit_length() - 1]
+        cover |= adj[low.bit_length() - 1]
         bits ^= low
-    return cover == (1 << cache.order) - 1
+    return cover == (1 << len(adj)) - 1
+
+
+def is_dominating(g: Graph, d: VertexSet) -> bool:
+    """True iff every vertex outside d has a neighbor in d."""
+    return _dominates(g.adjacency_bits(), d.bits)
 
 
 def is_owc_dominating(g: Graph, d: VertexSet) -> bool:
     """Dominating with a weakly convex complement."""
     cache = IntervalCache.of(g)
-    if not _dominates(cache, d.bits):
+    if not _dominates(cache.adj_bits, d.bits):
         return False
     comp = d.bits ^ ((1 << g.order) - 1)
     return weakly_convex_bits(cache.adj_bits, cache.ball_masks, comp, comp)
@@ -89,7 +84,7 @@ def is_owc_dominating(g: Graph, d: VertexSet) -> bool:
 def is_outer_convex_dominating(g: Graph, d: VertexSet) -> bool:
     """Dominating with a convex complement."""
     cache = IntervalCache.of(g)
-    if not _dominates(cache, d.bits):
+    if not _dominates(cache.adj_bits, d.bits):
         return False
     return is_convex(cache, d.complement())
 
@@ -302,8 +297,12 @@ def script_p(
         return script_p_realizer(g, cap=cap)[1]
     if mode != SCRIPT_P_CONVEX:
         raise ValueError(f"unknown script_p mode {mode!r}")
-    value = owc_domination_number(g, cap=cap).value
-    candidates = sets_of_size(g, value, MODE_OCON, cap=cap)
+    return _convex_p(g, owc_domination_number(g, cap=cap).value, cap)
+
+
+def _convex_p(g: Graph, size: int, cap: int) -> int | None:
+    """The least |P_S| over the outer-convex dominating sets S of ``size`` vertices; None if none exist."""
+    candidates = sets_of_size(g, size, MODE_OCON, cap=cap)
     return min((len(isolated_in_induced(g, s)) for s in candidates), default=None)
 
 

@@ -7,6 +7,7 @@ Graphs are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 MAX_ORDER = 1024
@@ -304,8 +305,7 @@ def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center at vertex 0."""
     if leaves < 1:
         raise ValueError("star needs at least 1 leaf")
-    g = graph_from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-    return Graph(g.order, g.adjacency, name=f"K1,{leaves}")
+    return graph_from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)], name=f"K1,{leaves}")
 
 
 _FAMILIES = {
@@ -327,22 +327,42 @@ def family(kind: str, *params: int) -> Graph:
     return builder(*params)
 
 
-def graph_from_spec(spec: str) -> Graph:
-    """Parse a family spec like ``cycle:5`` or ``complete_bipartite:2,3``.
+def expand_family_spec(spec: str) -> list[Graph]:
+    """The graphs a spec names: ``name:params``, each parameter an integer or a range ``lo..hi``.
 
-    ``@path.g6`` and ``@path.edges`` load the graph from a file instead.
+    ``path:2..4`` names P2, P3 and P4, ``complete_bipartite:2,2..3`` names
+    K2,2 and K2,3, and ``cycle:5`` names C5 alone.  ``@path.g6`` and
+    ``@path.edges`` load one graph from a file instead.
     """
     spec = spec.strip()
     if spec.startswith("@"):
-        return load_graph_file(spec[1:])
-    if ":" not in spec:
-        raise ValueError(f"bad family spec {spec!r}: expected name:params")
-    kind, _, rest = spec.partition(":")
+        return [load_graph_file(spec[1:])]
+    kind, colon, params = spec.partition(":")
     try:
-        params = tuple(int(p) for p in rest.split(","))
-    except ValueError:
-        raise ValueError(f"bad family spec {spec!r}: parameters must be integers") from None
-    return family(kind.strip(), *params)
+        if not colon:
+            raise ValueError("expected name:params")
+        ranges = []
+        for tok in params.split(","):
+            lo, dots, hi = tok.partition("..")
+            values = range(int(lo), int(hi if dots else lo) + 1)
+            if not values:
+                raise ValueError(f"empty range {tok.strip()!r}")
+            ranges.append(values)
+        return [family(kind.strip(), *combo) for combo in itertools.product(*ranges)]
+    except ValueError as exc:
+        raise ValueError(f"bad family spec {spec!r}: {exc}") from None
+
+
+def graph_from_spec(spec: str) -> Graph:
+    """The one graph of a spec such as ``cycle:5``, ``complete_bipartite:2,3`` or ``@path.g6``.
+
+    The grammar is ``expand_family_spec``'s; a spec naming several graphs, such
+    as the range ``path:2..4``, raises ValueError.
+    """
+    graphs = expand_family_spec(spec)
+    if len(graphs) != 1:
+        raise ValueError(f"bad family spec {spec!r}: names {len(graphs)} graphs; expected one")
+    return graphs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +410,5 @@ def load_graph_file(path: str) -> Graph:
         lines = text.split()
         if len(lines) > 1:
             raise ValueError(f"{path} holds {len(lines)} graphs; expected one")
-        g = graph6.graph_from_graph6("".join(lines))
-        return Graph(g.order, g.adjacency, name=path)
+        return graph6.graph_from_graph6("".join(lines), name=path)
     return parse_edge_list(text, name=path)

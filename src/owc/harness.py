@@ -11,32 +11,28 @@ the same inputs compare byte for byte.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from . import constructions as recipes
 from .domination import (
     DEFAULT_CAP,
-    MODE_OCON,
+    _convex_p,
     domination_number,
     enumerate_min_owc_sets,
     is_owc_dominating,
-    isolated_in_induced,
     owc_domination_number,
     script_p_realizer,
-    sets_of_size,
 )
 from .graphs import (
     Graph,
     VertexSet,
     complete_bipartite_graph,
     complete_graph,
-    family,
-    graph_from_spec,
+    expand_family_spec,
     is_complete_graph,
     iter_bits,
 )
@@ -48,45 +44,33 @@ FAIL_UPPER = "FAIL_UPPER"
 FAIL_CONSTRUCTION = "FAIL_CONSTRUCTION"
 SKIPPED_TOO_LARGE = "SKIPPED_TOO_LARGE"
 
-REPORT_FIELDS = (
-    "check",
-    "kind",
-    "g_name",
-    "g_order",
-    "h_name",
-    "h_order",
-    "exact",
-    "lower",
-    "upper",
-    "construction_sizes",
-    "construction_ok",
-    "verdict",
-    "elapsed_ms",
-    "witness",
-)
-
 PROJECTION_CAP = 16
 RECTANGLE_FACTOR_CAP = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundReport:
+    """One report row; the field order is the CSV/JSONL column order."""
+
     check: str
     kind: str
     g_name: str
     g_order: int
     h_name: str
     h_order: int
-    exact: int | None
-    lower: int | None
-    upper: int | None
-    construction_sizes: dict[str, int]
-    construction_ok: dict[str, bool]
+    exact: int | None = None
+    lower: int | None = None
+    upper: int | None = None
+    construction_sizes: dict[str, int] = field(default_factory=dict)
+    construction_ok: dict[str, bool] = field(default_factory=dict)
     verdict: str
-    elapsed_ms: int | None
-    witness: str
+    elapsed_ms: int | None = None
+    witness: str = ""
     # Text-format extras; not part of the CSV/JSONL schema.
     notes: tuple[str, ...] = ()
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(BoundReport) if f.name != "notes")
 
 
 def format_product_set(p: ProductGraph, s: VertexSet) -> str:
@@ -104,17 +88,8 @@ def _verdict(exact: int | None, lower: int | None, upper: int | None, ok: dict[s
     return PASS
 
 
-def _report(check: str, p: ProductGraph, verdict: str, **fields) -> BoundReport:
-    """The one BoundReport constructor: factor fields from ``p``, any field not given empty."""
-    empty = {
-        "exact": None,
-        "lower": None,
-        "upper": None,
-        "construction_sizes": {},
-        "construction_ok": {},
-        "elapsed_ms": None,
-        "witness": "",
-    }
+def _report(check: str, p: ProductGraph, verdict: str, **given) -> BoundReport:
+    """The one BoundReport constructor: factor fields from ``p``, any field not given at its default."""
     return BoundReport(
         check=check,
         kind=p.kind,
@@ -123,13 +98,13 @@ def _report(check: str, p: ProductGraph, verdict: str, **fields) -> BoundReport:
         h_name=p.right.name,
         h_order=p.right.order,
         verdict=verdict,
-        **{**empty, **fields},
+        **given,
     )
 
 
-def _skip_report(check: str, p: ProductGraph, cap: int, **fields) -> BoundReport:
+def _skip_report(check: str, p: ProductGraph, cap: int, **given) -> BoundReport:
     notes = (f"product order {p.order} exceeds cap {cap}",)
-    return _report(check, p, SKIPPED_TOO_LARGE, notes=notes, **fields)
+    return _report(check, p, SKIPPED_TOO_LARGE, notes=notes, **given)
 
 
 def _factor_skip(check: str, p: ProductGraph, factors: tuple[Graph, ...], cap: int) -> BoundReport | None:
@@ -256,8 +231,7 @@ def check_lexicographic(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP) -> BoundR
     notes: list[str] = []
     if p_g == 0:
         notes.append("P_G=0: bounds coincide, equality forced")
-    convex_sets = sets_of_size(g, lower, MODE_OCON, cap=cap)
-    p_convex = min((len(isolated_in_induced(g, t)) for t in convex_sets), default=None)
+    p_convex = _convex_p(g, lower, cap)
     if p_convex != p_g:
         other = "none" if p_convex is None else str(p_convex)
         notes.append(f"P_G readings differ: weakly_convex={p_g}, convex={other}")
@@ -515,7 +489,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             try:
                 expand_family_spec(value)
             except ValueError as exc:
-                raise ConfigError(f"line {i}: bad family spec {value!r}: {exc}") from None
+                raise ConfigError(f"line {i}: {exc}") from None
             fields["families"] = fields.get("families", ()) + (value,)
         elif key == "kn":
             for tok in value.split(","):
@@ -534,22 +508,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         else:
             raise ConfigError(f"line {i}: unknown key {key!r}")
     return replace(SweepConfig(), **fields)
-
-
-def expand_family_spec(spec: str) -> list[Graph]:
-    """Expand 'path:2..4' into graphs; plain graph specs pass through."""
-    if spec.startswith("@") or ":" not in spec:
-        return [graph_from_spec(spec)]
-    name, _, params = spec.partition(":")
-    ranges: list[range] = []
-    for tok in params.split(","):
-        tok = tok.strip()
-        lo, sep, hi = tok.partition("..")
-        lo_i, hi_i = int(lo), int(hi if sep else lo)
-        if hi_i < lo_i:
-            raise ValueError(f"empty range {tok!r}")
-        ranges.append(range(lo_i, hi_i + 1))
-    return [family(name, *combo) for combo in itertools.product(*ranges)]
 
 
 def build_pool(cfg: SweepConfig) -> list[Graph]:

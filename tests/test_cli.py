@@ -49,9 +49,10 @@ def test_compute_script_p(capsys):
 
 
 def test_compute_bad_family(capsys):
-    rc, out, err = run_cli(capsys, "compute", "--family", "moebius:5")
-    assert rc == 2 and out == ""
-    assert err.startswith("error:")
+    for spec in ("moebius:5", "path:2..4"):
+        rc, out, err = run_cli(capsys, "compute", "--family", spec)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:")
 
 
 def test_compute_cap_exceeded(capsys):

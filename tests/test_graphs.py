@@ -175,10 +175,10 @@ def test_graph_from_spec():
     assert graph_from_spec("cycle:5") == cycle_graph(5)
     assert graph_from_spec("complete_bipartite:2,3") == complete_bipartite_graph(2, 3)
     assert graph_from_spec(" path:4 ") == path_graph(4)
-    with pytest.raises(ValueError):
-        graph_from_spec("path")
-    with pytest.raises(ValueError):
-        graph_from_spec("path:x")
+    for bad, why in [("path", "expected name:params"), ("path:x", "invalid literal"),
+                     ("path:2..4", "names 3 graphs")]:
+        with pytest.raises(ValueError, match=why):
+            graph_from_spec(bad)
 
 
 def test_graph_from_spec_files(tmp_path):

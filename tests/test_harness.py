@@ -20,6 +20,7 @@ from owc.graphs import (
     complete_graph,
     cycle_graph,
     graph_from_edge_list,
+    graph_from_spec,
     path_graph,
     star_graph,
 )
@@ -295,6 +296,7 @@ def test_config_errors_carry_line_numbers():
         ("seed=1\nbogus line", "line 2"),
         ("checks=cartesian,nope", "unknown check"),
         ("family=moebius:3", "bad family spec"),
+        ("family=path:x", "bad family spec 'path:x'"),
         ("kn=1", ">= 2"),
         ("kmn=2", "expects 'm,n'"),
         ("cap=0", ">= 1"),
@@ -320,6 +322,17 @@ def test_expand_family_spec():
     assert [g.name for g in expand_family_spec("cycle:4")] == ["C4"]
     with pytest.raises(ValueError):
         expand_family_spec("path:4..2")
+
+
+def test_graph_from_spec_is_the_one_graph_case():
+    singles = ["path:2", "path:3", "path:4", "cycle:3", "cycle:4", "cycle:5", "complete:2",
+               "complete:3", "complete:4", "star:3", "complete_bipartite:2,2"]
+    assert [g.name for s in singles for g in expand_family_spec(s)] == [
+        g.name for g in build_pool(SweepConfig())]
+    for s in singles:
+        (want,) = expand_family_spec(s)
+        got = graph_from_spec(s)
+        assert got == want and got.name == want.name
 
 
 TINY = "cap=12\nseed=5\nsample=3\nchecks=cartesian,strong-kn,lex\nfamily=path:2..3\nfamily=complete:2\nkn=2\n"
