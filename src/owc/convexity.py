@@ -48,6 +48,7 @@ class IntervalCache:
         self._balls: list[list[int]] | None = None
         self._shadows: list[list[int]] | None = None
         self._interval_rows: list[list[int]] | None = None
+        self._images: list[tuple[int, ...]] | None = None
 
     @classmethod
     def of(cls, g: Graph) -> "IntervalCache":
@@ -134,6 +135,16 @@ class IntervalCache:
             self._interval_rows = table
         return self._interval_rows
 
+    @property
+    def _automorphisms(self) -> list[tuple[int, ...]]:
+        """A few automorphisms σ₁, σ₂, ... of a connected graph: ``[v][i]`` is the bit of σᵢ(v).
+
+        Empty when none was found.  Built on first use by ``_find_automorphisms``.
+        """
+        if self._images is None:
+            self._images = _find_automorphisms(self)
+        return self._images
+
     def _distance(self, u: int, v: int) -> int:
         """d(u,v); a disconnected pair raises ValueError."""
         if (d := self.dm.rows[u][v]) == UNREACHABLE:
@@ -144,6 +155,95 @@ class IntervalCache:
         """Mask of I[u,v]; a disconnected pair raises ValueError."""
         self._distance(u, v)
         return self.interval_rows[u][v]
+
+
+def _find_automorphisms(cache: IntervalCache) -> list[tuple[int, ...]]:
+    """Non-identity automorphisms of a connected graph along a stabilizer chain, as per-vertex image bits.
+
+    A bijection that preserves distances preserves adjacency, so it is an
+    automorphism.  A map may send x only to a vertex with the same distance
+    profile (the count of vertices at each distance), and, once z is mapped,
+    only to a vertex at distance d(x,z) from σ(z): the candidates of x are an
+    AND of ``level_masks`` rows.  For each j in turn, with 0..j-1 fixed, the
+    walk lists one map sending j to each other point of its orbit, then fixes
+    j too.  The maps found so far, composed, reach part of the orbit; for each
+    candidate y they do not reach, a backtracking search maps the other
+    vertices nearest to j first.  The walk stops once every candidate set is a
+    single vertex, and returns nothing at once when every profile class is.
+    It gives up after 4n² tentative assignments in all, which bounds its cost
+    at O(n³) bit operations; any subset of Aut(G) serves the symmetry rule.
+    """
+    n = cache.order
+    rows = cache.dm.rows
+    if UNREACHABLE in rows[0]:
+        return []
+    levels = cache.level_masks
+    profiles = [tuple(mask.bit_count() for mask in lvl) for lvl in levels]
+    classes: dict[tuple[int, ...], int] = {}
+    for v, p in enumerate(profiles):
+        classes[p] = classes.get(p, 0) | 1 << v
+    cand = [classes[p] for p in profiles]
+
+    def assign(cand: list[int], x: int, w: int) -> list[int]:
+        # d(x,u) <= ecc(x) = ecc(w), since x and w share a profile
+        lvl_w = levels[w]
+        keep = ~(1 << w)
+        out = [c & lvl_w[d] & keep for c, d in zip(cand, rows[x])]
+        out[x] = 1 << w
+        return out
+
+    # the whole walk makes at most 4n² assignments
+    tries = 4 * n * n
+
+    def complete(cand: list[int], order: list[int]) -> list[int] | None:
+        """A map extending ``cand`` to the vertices of ``order``, taken in turn, or None once ``tries`` runs out."""
+        nonlocal tries
+        stack = []
+        depth = 0
+        while True:
+            if depth == len(order):
+                return [c.bit_length() - 1 for c in cand]
+            stack.append((cand, depth, cand[order[depth]]))
+            # the next untried image of the deepest vertex that has one left
+            while True:
+                if not stack or tries <= 0:
+                    return None
+                cand, depth, choices = stack.pop()
+                if choices:
+                    low = choices & -choices
+                    stack.append((cand, depth, choices ^ low))
+                    tries -= 1
+                    cand = assign(cand, order[depth], low.bit_length() - 1)
+                    depth += 1
+                    if 0 not in cand:
+                        break
+
+    maps = []
+    for j in range(n):
+        if tries <= 0 or all(c & (c - 1) == 0 for c in cand):
+            break
+        # nearest first: a vertex close to the mapped ones has few candidates
+        order = sorted(range(j + 1, n), key=rows[j].__getitem__)
+        # the orbit of j under the maps found that fix 0..j-1, each point with a
+        # map sending j there; a point the found maps already reach is not searched
+        orbit = {j: list(range(n))}
+        gens = []
+        for y in iter_bits(cand[j] & ~(1 << j)):
+            if y in orbit or not (sigma := complete(assign(cand, j, y), order)):
+                continue
+            gens.append(sigma)
+            frontier = list(orbit.values())
+            while frontier:
+                grown = []
+                for t in frontier:
+                    for g in gens:
+                        if g[t[j]] not in orbit:
+                            orbit[g[t[j]]] = composed = [g[v] for v in t]
+                            grown.append(composed)
+                frontier = grown
+        maps += [t for x, t in orbit.items() if x != j]
+        cand = assign(cand, j, j)
+    return [tuple(1 << sigma[v] for sigma in maps) for v in range(n)] if maps else []
 
 
 def convex_bits(rows: list[list[int]], cbits: int) -> bool:

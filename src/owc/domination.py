@@ -16,8 +16,16 @@ prefix grow, so a dropped prefix has no passing extension.  The geodesic test
 retests only the pairs that the last pick can have cut: a pair of F already
 cleared without that pick loses every geodesic only if the pick lies in its
 interval.  The first passing set found is the one whose sorted vertex list is
-lexicographically smallest: the canonical witness.  The search runs in one
-process; the solvers' ``workers`` argument is accepted and ignored.
+lexicographically smallest: the canonical witness.
+
+The value searches in ``owc`` mode also break symmetry, from level 3 up.  They
+drop a prefix that some automorphism of the graph maps to a lex-smaller set
+below its last vertex, since every extension then has a lex-smaller image that
+passes too; the canonical witness, and so every value, is never dropped.  The
+automorphisms are a few maps along a stabilizer chain, found on first use and
+kept on the graph's context.  Listings (``sets_of_size``, the answer level of
+``enumerate_min_owc_sets``, the P_G scans) run unpruned.  The search runs in
+one process; the solvers' ``workers`` argument is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Iterator
 
 from .convexity import IntervalCache, convex_bits, is_convex, weakly_convex_bits
@@ -103,7 +110,7 @@ def isolated_in_induced(g: Graph, s: VertexSet) -> VertexSet:
 # Search engine
 
 
-def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
+def _level_hits(cache: IntervalCache, k: int, mode: str, prune: bool = False) -> Iterator[int]:
     """Passing k-subset masks, in lex order of vertex lists.
 
     A depth-first search over sorted prefixes with monotone bounds.
@@ -138,6 +145,21 @@ def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
 
     Extensions only grow F and the prefix, so a dropped prefix has no passing
     extension.  Leaves still run the full complement test.
+
+    Symmetry, with ``prune`` in ``owc`` mode from k = 3 up: a prefix P that
+    passes the tests above is dropped when some automorphism σ of
+    ``cache._automorphisms`` and some y in σ(P) ∩ F satisfy P ∩ [0,y) ⊆ σ(P);
+    that is, when the least vertex of P Δ σ(P) lies in σ(P).  Take an
+    extension S of P.  S agrees with P up to the last vertex of P, so y is
+    not in S, while y is in σ(S), and every member of S below y is in σ(S).
+    So the least vertex of S Δ σ(S) lies in σ(S): σ(S) is lex-smaller than S,
+    and it passes exactly when S does.  The lex-smallest passing k-set is
+    thus never dropped: the first hit and the emptiness of a level are those
+    of the unpruned search, while the later hits are a subset of its hits.
+    So listings keep ``prune`` off.  The masks σᵢ(P) ride down the path,
+    packed in one int and grown by the image bits of each pick; the rule is
+    tested only after a pick that some σᵢ moves, and at a leaf before its
+    complement test.
     """
     adj = cache.adj_bits
     n = len(adj)
@@ -155,6 +177,24 @@ def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
         outer_ok = partial(convex_bits, rows)
     else:
         outer_ok = None
+    images = cache._automorphisms if prune and owc and k >= 3 else []
+    ones = guard = moved = 0
+    packed = [0] * n
+    if images:
+        # σᵢ(P) for all i packed in one int, one field of n + 1 bits per
+        # automorphism; bit n of each field is a guard that stops the borrow
+        # of the per-field subtraction in lower()
+        width = n + 1
+        ones = sum(1 << i * width for i in range(len(images[0])))
+        guard = ones << n
+        packed = [sum(b << i * width for i, b in enumerate(row)) for row in images]
+        # a pick that every σᵢ fixes cannot drop a prefix its parent kept: P Δ σ(P) stays the same
+        moved = sum(1 << v for v, image in enumerate(packed) if image != ones << v)
+
+    def lower(mapped: int, p: int) -> bool:
+        """True iff the least vertex of p Δ σᵢ(p) lies in σᵢ(p) for some i; ``mapped`` packs the σᵢ(p)."""
+        diff = (mapped ^ p * ones) | guard
+        return diff & ~(diff - ones) & mapped != 0
 
     def close(hull: int, fixed: int, w: int) -> int:
         """I[fixed + w], given hull = I[fixed]."""
@@ -168,7 +208,7 @@ def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
             fixed &= ~(span | low)
         return hull
 
-    def extend(chosen: int, cover: int, start: int, left: int, hull: int) -> Iterator[int]:
+    def extend(chosen: int, cover: int, start: int, left: int, hull: int, mapped: int) -> Iterator[int]:
         if left == 1:
             last = full >> start << start
             rest = full ^ cover
@@ -179,7 +219,9 @@ def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
             while last:
                 low = last & -last
                 s = chosen | low
-                if outer_ok is None or outer_ok(full ^ s):
+                if not (moved & low and lower(mapped | packed[low.bit_length() - 1], s)) and (
+                    outer_ok is None or outer_ok(full ^ s)
+                ):
                     yield s
                 last ^= low
             return
@@ -206,12 +248,14 @@ def _level_hits(cache: IntervalCache, k: int, mode: str) -> Iterator[int]:
             else:
                 keep = True
             if keep:
-                yield from extend(chosen | 1 << v, grown, v + 1, left - 1, hull)
+                inner = mapped | packed[v]
+                if not (moved >> v & 1 and lower(inner, chosen | 1 << v)):
+                    yield from extend(chosen | 1 << v, grown, v + 1, left - 1, hull, inner)
             if ocon:
                 hull = close(hull, fixed, v)
             fixed |= 1 << v
 
-    return extend(0, 0, 0, k, 0)
+    return extend(0, 0, 0, k, 0, 0)
 
 
 def _context(g: Graph, cap: int) -> IntervalCache:
@@ -226,16 +270,16 @@ def _context(g: Graph, cap: int) -> IntervalCache:
     return cache
 
 
-def _solve_min(g: Graph, mode: str, cap: int, limit: int | None = 1) -> tuple[OwcResult, list[int]]:
-    """The least level with a passing set, and the first ``limit`` passing masks on it."""
+def _solve_min(g: Graph, mode: str, cap: int) -> OwcResult:
+    """The least level with a passing set, and its first passing set, by the symmetry-pruned search."""
     cache = _context(g, cap)
     t0 = time.perf_counter()
     examined = 0
     for k in range(1, g.order + 1):
-        found = list(islice(_level_hits(cache, k, mode), limit))
+        found = next(_level_hits(cache, k, mode, prune=True), None)
         examined += math.comb(g.order, k)
-        if found:
-            return OwcResult(k, VertexSet(g.order, found[0]), examined, time.perf_counter() - t0), found
+        if found is not None:
+            return OwcResult(k, VertexSet(g.order, found), examined, time.perf_counter() - t0)
     raise AssertionError("V(G) always passes; unreachable for connected graphs")
 
 
@@ -245,23 +289,23 @@ def _solve_min(g: Graph, mode: str, cap: int, limit: int | None = 1) -> tuple[Ow
 
 def domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> OwcResult:
     """Exact domination number with canonical witness."""
-    return _solve_min(g, MODE_DOMINATING, cap)[0]
+    return _solve_min(g, MODE_DOMINATING, cap)
 
 
 def owc_domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> OwcResult:
     """Exact outer-weakly convex domination number with canonical witness."""
-    return _solve_min(g, MODE_OWC, cap)[0]
+    return _solve_min(g, MODE_OWC, cap)
 
 
 def outer_convex_domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> OwcResult:
     """Exact outer-convex domination number with canonical witness."""
-    return _solve_min(g, MODE_OCON, cap)[0]
+    return _solve_min(g, MODE_OCON, cap)
 
 
 def enumerate_min_owc_sets(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> list[VertexSet]:
     """All minimum outer-weakly convex dominating sets, sorted by vertex list."""
-    _, found = _solve_min(g, MODE_OWC, cap, limit=None)
-    return [VertexSet(g.order, bits) for bits in found]
+    value = _solve_min(g, MODE_OWC, cap).value
+    return [VertexSet(g.order, bits) for bits in _level_hits(IntervalCache.of(g), value, MODE_OWC)]
 
 
 def sets_of_size(
@@ -307,6 +351,20 @@ def _convex_p(g: Graph, size: int, cap: int) -> int | None:
 
 
 def script_p_realizer(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> tuple[VertexSet, int]:
-    """A canonical minimum OWC dominating set with the fewest induced-isolated vertices."""
-    scored = ((s, len(isolated_in_induced(g, s))) for s in enumerate_min_owc_sets(g, cap=cap))
-    return min(scored, key=lambda sp: sp[1])
+    """A canonical minimum OWC dominating set with the fewest induced-isolated vertices.
+
+    The first such set in the sorted list of minimum sets: the answer level is
+    walked lazily, from the canonical witness on, up to the first set S with
+    P_S empty.
+    """
+    first = owc_domination_number(g, cap=cap).witness
+    best = (first, len(isolated_in_induced(g, first)))
+    if best[1]:
+        for bits in _level_hits(IntervalCache.of(g), len(first), MODE_OWC):
+            s = VertexSet(g.order, bits)
+            p = len(isolated_in_induced(g, s))
+            if p < best[1]:
+                best = (s, p)
+                if not p:
+                    break
+    return best

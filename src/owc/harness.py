@@ -488,7 +488,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         elif key == "family":
             try:
                 expand_family_spec(value)
-            except ValueError as exc:
+            except (ValueError, OSError) as exc:
                 raise ConfigError(f"line {i}: {exc}") from None
             fields["families"] = fields.get("families", ()) + (value,)
         elif key == "kn":

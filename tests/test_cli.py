@@ -213,6 +213,14 @@ def test_sweep_bad_config(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_config_names_the_line_of_a_missing_family_file(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family=@{tmp_path / 'missing.g6'}\n")
+    rc, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: line 1: ") and "missing.g6" in err
+
+
 def test_sweep_rejects_out_of_range_overrides(tmp_path, capsys):
     # the flags obey the same minimums as the config lines
     rc, out, err = run_cli(capsys, "sweep", "--sample", "-3")

@@ -312,6 +312,21 @@ def test_grids_of_order_30_and_32(factors, solver, witness):
 @pytest.mark.parametrize(
     "product, witness",
     [
+        (cartesian, (0, 1, 2, 3, 6, 7, 8, 9, 13, 14, 22, 23, 28, 29, 31, 32)),
+        (strong, (0, 2, 7, 9, 14, 16, 21, 23, 28, 31)),
+    ],
+    ids=["c6_c6", "c6_strong_c6"],
+)
+def test_owc_at_order_36(product, witness):
+    # value and canonical witness recorded with the search that had no symmetry rule
+    g = product(cycle_graph(6), cycle_graph(6)).graph
+    res = owc_domination_number(g, cap=36, workers=1)
+    assert (res.value, res.witness.vertices()) == (len(witness), witness)
+
+
+@pytest.mark.parametrize(
+    "product, witness",
+    [
         (strong, tuple(range(22)) + (24, 25, 26, 30, 31, 32, 35)),
         (lexicographic, tuple(range(28)) + (30, 31, 32, 33)),
     ],
