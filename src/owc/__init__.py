@@ -29,7 +29,6 @@ from .domination import (
 )
 from .graph6 import Graph6Error, graph_from_graph6, to_graph6
 from .graphs import (
-    DistanceMatrix,
     Graph,
     VertexSet,
     complete_bipartite_graph,
@@ -64,13 +63,10 @@ from .harness import (
 from .constructions import (
     ConstructionSet,
     HypothesisError,
-    cartesian_left_cover,
-    cartesian_right_cover,
+    full_cover,
     lexico_anchor,
     strong_kmn_pair,
     strong_kn_slice,
-    strong_left_cover,
-    strong_right_cover,
     verify_on_product,
 )
 from .products import (

@@ -116,7 +116,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     p = product(kind, graph_from_spec(args.left), graph_from_spec(args.right))
     payload = to_graph6(p.graph) + "\n" if args.graph6 else format_edge_list(p.graph)
     map_text = "".join(
-        f"{p.pair(a, b)} {a} {b}\n" for a in range(p.left_order) for b in range(p.right_order)
+        f"{p.pair(a, b)} {a} {b}\n" for a in range(p.left.order) for b in range(p.right.order)
     )
     if args.out == "-":
         sys.stdout.write(payload)

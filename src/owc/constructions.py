@@ -45,32 +45,19 @@ def _require(cond: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Full-cover recipes: one factor crossed with a verified set of the other.
+# Full-cover recipe: one factor crossed with a verified set of the other.
 
 
-def cartesian_right_cover(p: ProductGraph, t: VertexSet) -> ConstructionSet:
-    """V(G) x T where t is outer-weakly convex dominating in the right factor."""
-    _require(p.kind == CARTESIAN, f"expected a cartesian product, got {p.kind}")
-    return _full_cover(p, t, "right")
+def full_cover(p: ProductGraph, s: VertexSet, side: str) -> ConstructionSet:
+    """A set s of one factor crossed with the whole other factor, on a cartesian or strong product.
 
-
-def cartesian_left_cover(p: ProductGraph, s: VertexSet) -> ConstructionSet:
-    """S x V(H) where s is outer-weakly convex dominating in the left factor."""
-    _require(p.kind == CARTESIAN, f"expected a cartesian product, got {p.kind}")
-    return _full_cover(p, s, "left")
-
-
-def strong_right_cover(p: ProductGraph, t: VertexSet) -> ConstructionSet:
-    _require(p.kind == STRONG, f"expected a strong product, got {p.kind}")
-    return _full_cover(p, t, "right")
-
-
-def strong_left_cover(p: ProductGraph, s: VertexSet) -> ConstructionSet:
-    _require(p.kind == STRONG, f"expected a strong product, got {p.kind}")
-    return _full_cover(p, s, "left")
-
-
-def _full_cover(p: ProductGraph, s: VertexSet, side: str) -> ConstructionSet:
+    s must be outer-weakly convex dominating in the ``side`` factor.  The set
+    is S x V(H) for ``side="left"`` and V(G) x S for ``"right"``, and the
+    recipe is named ``left_cover`` or ``right_cover``.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _require(p.kind in (CARTESIAN, STRONG), f"expected a cartesian or strong product, got {p.kind}")
     factor = p.right if side == "right" else p.left
     other = p.left if side == "right" else p.right
     _require(
@@ -99,7 +86,7 @@ def _full_cover(p: ProductGraph, s: VertexSet, side: str) -> ConstructionSet:
 
 def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
     """The two parity classes of distance to vertex 0, or None if an edge joins one class."""
-    row = IntervalCache.of(g).dm.rows[0]
+    row = IntervalCache.of(g).dist[0]
     if any((row[u] + row[v]) % 2 == 0 for u, v in g.edges()):
         return None
     return [v for v in range(g.order) if row[v] % 2 == 0], [v for v in range(g.order) if row[v] % 2 == 1]

@@ -34,7 +34,7 @@ class IntervalCache:
 
     def __init__(self, g: Graph):
         self.order = n = g.order
-        self.dm = distance_matrix(g)
+        self.dist = distance_matrix(g)
         self.adj_bits = g.adjacency_bits()
         # closed[v] is N[v]; reach[v] every vertex dominated by some w >= v;
         # most[v] the largest |N[w]| over w >= v
@@ -66,8 +66,8 @@ class IntervalCache:
         if self._levels is None:
             levels = []
             for u in range(self.order):
-                row = self.dm.rows[u]
-                lvl = [0] * (self.dm.eccentricity(u) + 1)
+                row = self.dist[u]
+                lvl = [0] * (max(row) + 1)
                 for v, d in enumerate(row):
                     if d != UNREACHABLE:
                         lvl[d] |= 1 << v
@@ -95,7 +95,7 @@ class IntervalCache:
         """``shadow_masks[v][u]`` is the mask of vertices w with v in I[u,w]: d(u,v) + d(v,w) = d(u,w)."""
         if self._shadows is None:
             levels = self.level_masks
-            rows = self.dm.rows
+            rows = self.dist
             shadows = []
             for v, lvl_v in enumerate(levels):
                 row = []
@@ -119,7 +119,7 @@ class IntervalCache:
         """
         if self._interval_rows is None:
             levels = self.level_masks
-            dist = self.dm.rows
+            dist = self.dist
             table = [[0] * self.order for _ in range(self.order)]
             for u, lvl_u in enumerate(levels):
                 row = table[u]
@@ -147,7 +147,7 @@ class IntervalCache:
 
     def _distance(self, u: int, v: int) -> int:
         """d(u,v); a disconnected pair raises ValueError."""
-        if (d := self.dm.rows[u][v]) == UNREACHABLE:
+        if (d := self.dist[u][v]) == UNREACHABLE:
             raise ValueError(f"vertices {u} and {v} are disconnected; no geodesic exists")
         return d
 
@@ -174,7 +174,7 @@ def _find_automorphisms(cache: IntervalCache) -> list[tuple[int, ...]]:
     at O(n³) bit operations; any subset of Aut(G) serves the symmetry rule.
     """
     n = cache.order
-    rows = cache.dm.rows
+    rows = cache.dist
     if UNREACHABLE in rows[0]:
         return []
     levels = cache.level_masks
@@ -372,7 +372,7 @@ def is_weakly_convex_oracle(cache: IntervalCache, d: VertexSet) -> bool:
     members = d.vertices()
     if len(members) <= 1:
         return True
-    rows = cache.dm.rows
+    rows = cache.dist
     dbits = d.bits
     for i, u in enumerate(members):
         for v in members[i + 1:]:

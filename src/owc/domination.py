@@ -23,9 +23,9 @@ drop a prefix that some automorphism of the graph maps to a lex-smaller set
 below its last vertex, since every extension then has a lex-smaller image that
 passes too; the canonical witness, and so every value, is never dropped.  The
 automorphisms are a few maps along a stabilizer chain, found on first use and
-kept on the graph's context.  Listings (``sets_of_size``, the answer level of
-``enumerate_min_owc_sets``, the P_G scans) run unpruned.  The search runs in
-one process; the solvers' ``workers`` argument is accepted and ignored.
+kept on the graph's context.  Listings run unpruned: ``sets_of_size``, which
+``enumerate_min_owc_sets`` calls at the value, and the P_G scans.  The search
+runs in one process; the solvers' ``workers`` argument is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def _context(g: Graph, cap: int) -> IntervalCache:
             f"order {g.order} exceeds the search cap {cap}; pass a larger cap (--cap) if intended"
         )
     cache = IntervalCache.of(g)
-    if UNREACHABLE in cache.dm.rows[0]:
+    if UNREACHABLE in cache.dist[0]:
         raise ValueError("graph is disconnected; minimum-set search requires a connected graph")
     return cache
 
@@ -304,8 +304,7 @@ def outer_convex_domination_number(g: Graph, *, cap: int = DEFAULT_CAP, workers:
 
 def enumerate_min_owc_sets(g: Graph, *, cap: int = DEFAULT_CAP, workers: int = 1) -> list[VertexSet]:
     """All minimum outer-weakly convex dominating sets, sorted by vertex list."""
-    value = _solve_min(g, MODE_OWC, cap).value
-    return [VertexSet(g.order, bits) for bits in _level_hits(IntervalCache.of(g), value, MODE_OWC)]
+    return sets_of_size(g, _solve_min(g, MODE_OWC, cap).value, cap=cap)
 
 
 def sets_of_size(

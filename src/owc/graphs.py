@@ -193,29 +193,6 @@ def graph_from_edge_list(order: int, edges: Iterable[tuple[int, int]], name: str
     return Graph(order, (VertexSet(order, m) for m in masks), name=name)
 
 
-class DistanceMatrix:
-    """All-pairs hop distances; ``UNREACHABLE`` marks disconnected pairs."""
-
-    __slots__ = ("order", "rows")
-
-    def __init__(self, order: int, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DistanceMatrix is immutable")
-
-    def __getitem__(self, u: int) -> tuple[int, ...]:
-        return self.rows[u]
-
-    def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-    def eccentricity(self, u: int) -> int:
-        """Largest finite distance from ``u``."""
-        return max(d for d in self.rows[u] if d != UNREACHABLE)
-
-
 def _bfs_distances(adj: tuple[int, ...], order: int, source: int) -> tuple[int, ...]:
     row = [UNREACHABLE] * order
     row[source] = 0
@@ -234,11 +211,10 @@ def _bfs_distances(adj: tuple[int, ...], order: int, source: int) -> tuple[int, 
     return tuple(row)
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Breadth-first all-pairs hop distances."""
+def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Breadth-first all-pairs hop distances: row u holds d(u,v), ``UNREACHABLE`` for a disconnected pair."""
     adj = g.adjacency_bits()
-    rows = tuple(_bfs_distances(adj, g.order, s) for s in range(g.order))
-    return DistanceMatrix(g.order, rows)
+    return tuple(_bfs_distances(adj, g.order, s) for s in range(g.order))
 
 
 def is_connected(g: Graph) -> bool:
@@ -335,10 +311,10 @@ def expand_family_spec(spec: str) -> list[Graph]:
     ``@path.edges`` load one graph from a file instead.
     """
     spec = spec.strip()
-    if spec.startswith("@"):
-        return [load_graph_file(spec[1:])]
     kind, colon, params = spec.partition(":")
     try:
+        if spec.startswith("@"):
+            return [load_graph_file(spec[1:])]
         if not colon:
             raise ValueError("expected name:params")
         ranges = []
@@ -349,7 +325,7 @@ def expand_family_spec(spec: str) -> list[Graph]:
                 raise ValueError(f"empty range {tok.strip()!r}")
             ranges.append(values)
         return [family(kind.strip(), *combo) for combo in itertools.product(*ranges)]
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"bad family spec {spec!r}: {exc}") from None
 
 

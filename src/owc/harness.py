@@ -162,10 +162,7 @@ def check_cartesian(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP) -> BoundRepor
         notes.append("complete factor: ceil(n/m) remark hypothesis is vacuous" + tail)
     if p.order > cap:
         return _skip_report("check_cartesian", p, cap, lower=lower, upper=upper)
-    built = [
-        recipes.cartesian_left_cover(p, rg.witness),
-        recipes.cartesian_right_cover(p, rh.witness),
-    ]
+    built = [recipes.full_cover(p, rg.witness, "left"), recipes.full_cover(p, rh.witness, "right")]
     return _bound_report("check_cartesian", p, built, lower, upper, notes, cap)
 
 
@@ -180,10 +177,7 @@ def check_strong(g: Graph, h: Graph, *, cap: int = DEFAULT_CAP) -> BoundReport:
     upper = min(rg.value * h.order, rh.value * g.order)
     if p.order > cap:
         return _skip_report("check_strong", p, cap, lower=lower, upper=upper)
-    built = [
-        recipes.strong_left_cover(p, rg.witness),
-        recipes.strong_right_cover(p, rh.witness),
-    ]
+    built = [recipes.full_cover(p, rg.witness, "left"), recipes.full_cover(p, rh.witness, "right")]
     return _bound_report("check_strong", p, built, lower, upper, [], cap)
 
 
@@ -488,7 +482,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         elif key == "family":
             try:
                 expand_family_spec(value)
-            except (ValueError, OSError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"line {i}: {exc}") from None
             fields["families"] = fields.get("families", ()) + (value,)
         elif key == "kn":

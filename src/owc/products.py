@@ -2,14 +2,16 @@
 
 Vertices of a product are pairs (g, h) flattened row-major: pair(g, h) = g*n + h
 where n is the right factor's order.  All layer and projection helpers speak
-this indexing.
+this indexing.  Each neighbourhood mask of a product is read off the factors'
+masks, one formula per kind, and the built graph is checked against the
+closed-form edge count.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .graphs import Graph, VertexSet, graph_from_edge_list, is_connected
+from .graphs import Graph, VertexSet, is_connected, iter_bits
 
 CARTESIAN = "cartesian"
 STRONG = "strong"
@@ -30,26 +32,26 @@ def edge_count_formula(kind: str, g: Graph, h: Graph) -> int:
     raise ValueError(f"unknown product kind {kind!r}")
 
 
-def _product_edges(kind: str, g: Graph, h: Graph) -> Iterator[tuple[int, int]]:
+def _neighbourhoods(kind: str, g: Graph, h: Graph) -> list[int]:
+    """The product's masks N(a,u) = {a} x N_H(u) | N_G(a) x X, in index order.
+
+    X is {u} for cartesian, {u} | N_H(u) for strong and V(H) for
+    lexicographic products.
+    """
     n = h.order
-    for a in range(g.order):
-        base = a * n
-        for u, v in h.edges():
-            yield base + u, base + v
-    if kind == LEXICOGRAPHIC:
-        for a, b in g.edges():
-            for u in range(n):
-                for v in range(n):
-                    yield a * n + u, b * n + v
-        return
-    for a, b in g.edges():
-        for u in range(n):
-            yield a * n + u, b * n + u
-    if kind == STRONG:
-        for a, b in g.edges():
-            for u, v in h.edges():
-                yield a * n + u, b * n + v
-                yield a * n + v, b * n + u
+    hadj = h.adjacency_bits()
+    if kind == CARTESIAN:
+        xs = [1 << u for u in range(n)]
+    elif kind == STRONG:
+        xs = [hadj[u] | 1 << u for u in range(n)]
+    else:
+        xs = [(1 << n) - 1] * n
+    masks = []
+    for a, gnbrs in enumerate(g.adjacency_bits()):
+        # lift has bit b*n for each neighbour b of a, so lift * x is N_G(a) x X
+        lift = sum(1 << b * n for b in iter_bits(gnbrs))
+        masks += [hadj[u] << a * n | lift * x for u, x in enumerate(xs)]
+    return masks
 
 
 class ProductGraph:
@@ -71,9 +73,10 @@ class ProductGraph:
         self.kind = kind
         self.left = left
         self.right = right
-        self.graph = graph_from_edge_list(
-            left.order * right.order,
-            _product_edges(kind, left, right),
+        order = left.order * right.order
+        self.graph = Graph(
+            order,
+            (VertexSet(order, bits) for bits in _neighbourhoods(kind, left, right)),
             name=f"{kind}({left.name},{right.name})",
         )
         expected = edge_count_formula(kind, left, right)
@@ -85,14 +88,6 @@ class ProductGraph:
     @property
     def order(self) -> int:
         return self.graph.order
-
-    @property
-    def left_order(self) -> int:
-        return self.left.order
-
-    @property
-    def right_order(self) -> int:
-        return self.right.order
 
     def pair(self, g: int, h: int) -> int:
         if not (0 <= g < self.left.order and 0 <= h < self.right.order):

@@ -72,6 +72,22 @@ def test_compute_rejects_a_g6_file_with_several_graphs(tmp_path, capsys):
     assert (rc, out, err) == (0, "gamma_wcon=1 witness={0}\n", "")
 
 
+def test_compute_names_the_spec_of_a_missing_family_file(tmp_path, capsys):
+    spec = f"@{tmp_path / 'missing.g6'}"
+    rc, out, err = run_cli(capsys, "compute", "--family", spec)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: bad family spec {spec!r}: ") and "No such file" in err
+
+
+def test_compute_names_the_spec_of_a_malformed_g6_file(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("C~~\n")  # order 4 needs one adjacency byte, not two
+    spec = f"@{bad}"
+    rc, out, err = run_cli(capsys, "compute", "--family", spec)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: bad family spec {spec!r}: ") and "adjacency bytes" in err
+
+
 def test_product_stdout(capsys):
     rc, out, _ = run_cli(capsys, "product", "--kind", "cartesian",
                          "--left", "path:2", "--right", "path:2")

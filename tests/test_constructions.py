@@ -3,13 +3,10 @@ import pytest
 from owc.constructions import (
     ConstructionSet,
     HypothesisError,
-    cartesian_left_cover,
-    cartesian_right_cover,
+    full_cover,
     lexico_anchor,
     strong_kmn_pair,
     strong_kn_slice,
-    strong_left_cover,
-    strong_right_cover,
     verify_on_product,
 )
 from owc.domination import owc_domination_number
@@ -34,14 +31,15 @@ def test_cartesian_covers():
     g, h = path_graph(3), cycle_graph(4)
     p = cartesian(g, h)
     t = min_owc_witness(h)
-    cs = cartesian_right_cover(p, t)
+    cs = full_cover(p, t, "right")
     assert cs.recipe == "right_cover"
     assert cs.size == cs.expected_size == g.order * len(t)
     assert verify_on_product(p, cs)
     assert naive_owc_dominating(p.graph, cs.vertices.vertices())
 
     s = min_owc_witness(g)
-    cs = cartesian_left_cover(p, s)
+    cs = full_cover(p, s, "left")
+    assert cs.recipe == "left_cover"
     assert cs.size == cs.expected_size == h.order * len(s)
     assert verify_on_product(p, cs)
 
@@ -49,24 +47,29 @@ def test_cartesian_covers():
 def test_strong_covers():
     g, h = cycle_graph(5), path_graph(3)
     p = strong(g, h)
-    cs = strong_right_cover(p, min_owc_witness(h))
+    cs = full_cover(p, min_owc_witness(h), "right")
     assert cs.size == 5 * 2
     assert verify_on_product(p, cs)
-    cs = strong_left_cover(p, min_owc_witness(g))
+    cs = full_cover(p, min_owc_witness(g), "left")
     assert cs.size == 3 * 3
     assert verify_on_product(p, cs)
 
 
 def test_cover_rejects_bad_inputs():
     p = cartesian(path_graph(3), cycle_graph(4))
-    with pytest.raises(HypothesisError, match="cartesian"):
-        cartesian_left_cover(strong(path_graph(3), cycle_graph(4)), min_owc_witness(path_graph(3)))
+    lex = lexicographic(path_graph(3), cycle_graph(4))
+    with pytest.raises(HypothesisError, match="cartesian or strong"):
+        full_cover(lex, min_owc_witness(path_graph(3)), "left")
+    with pytest.raises(HypothesisError, match="cartesian or strong"):
+        full_cover(lex, min_owc_witness(cycle_graph(4)), "right")
     with pytest.raises(HypothesisError, match="not outer-weakly convex dominating"):
-        cartesian_left_cover(p, VertexSet.of(3, [1]))
+        full_cover(p, VertexSet.of(3, [1]), "left")
     with pytest.raises(HypothesisError, match="factor has"):
-        cartesian_left_cover(p, VertexSet.of(4, [0, 1]))
-    with pytest.raises(HypothesisError, match="strong"):
-        strong_right_cover(p, min_owc_witness(cycle_graph(4)))
+        full_cover(p, VertexSet.of(4, [0, 1]), "left")
+    with pytest.raises(HypothesisError, match="factor has"):
+        full_cover(strong(path_graph(3), cycle_graph(4)), VertexSet.of(3, [1]), "right")
+    with pytest.raises(ValueError, match="side"):
+        full_cover(p, min_owc_witness(path_graph(3)), "top")
 
 
 def test_kn_slice():

@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 
+from owc.convexity import IntervalCache
 from owc.graphs import (
     UNREACHABLE,
     Graph,
@@ -137,19 +138,20 @@ def test_distance_matrix_against_networkx():
     graphs = [path_graph(6), cycle_graph(7), complete_bipartite_graph(3, 2)]
     graphs += [random_connected_graph(rng, n) for n in (5, 6, 7, 8)]
     for g in graphs:
-        dm = distance_matrix(g)
+        dist = distance_matrix(g)
         ref = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
-        for u in range(g.order):
-            for v in range(g.order):
-                assert dm.dist(u, v) == ref[u][v]
-        assert dm.eccentricity(0) == max(ref[0].values())
+        assert dist == tuple(tuple(ref[u][v] for v in range(g.order)) for u in range(g.order))
+        # the level masks of a row run up to its eccentricity
+        assert len(IntervalCache(g).level_masks[0]) == max(ref[0].values()) + 1
 
 
 def test_distance_matrix_disconnected():
     g = graph_from_edge_list(4, [(0, 1), (2, 3)])
-    dm = distance_matrix(g)
-    assert dm.dist(0, 1) == 1
-    assert dm.dist(0, 2) == UNREACHABLE
+    dist = distance_matrix(g)
+    assert dist[0][1] == 1
+    assert dist[0][2] == UNREACHABLE
+    # an unreachable vertex is on no level
+    assert IntervalCache(g).level_masks[0] == [0b1, 0b10]
     assert not is_connected(g)
     assert is_connected(path_graph(4))
     assert is_connected(complete_graph(1))

@@ -4,6 +4,8 @@ import random
 import networkx as nx
 import pytest
 
+from owc.constructions import HypothesisError, full_cover
+from owc.domination import owc_domination_number
 from owc.graphs import (
     VertexSet,
     complete_bipartite_graph,
@@ -89,9 +91,25 @@ def test_edge_containment():
     assert cart < set(lexicographic(g, h).graph.edges())
 
 
+def test_full_cover_is_a_factor_set_times_the_other_factor():
+    for g, h in itertools.product(FACTORS, repeat=2):
+        s, t = owc_domination_number(g).witness, owc_domination_number(h).witness
+        for make in (cartesian, strong):
+            p = make(g, h)
+            s_by_h = VertexSet.of(p.order, [p.pair(a, u) for a in s for u in range(h.order)])
+            g_by_t = VertexSet.of(p.order, [p.pair(a, u) for a in range(g.order) for u in t])
+            left, right = full_cover(p, s, "left"), full_cover(p, t, "right")
+            assert (left.vertices, left.recipe, left.expected_size) == (s_by_h, "left_cover", len(s_by_h))
+            assert (right.vertices, right.recipe, right.expected_size) == (g_by_t, "right_cover", len(g_by_t))
+        with pytest.raises(HypothesisError):
+            full_cover(lexicographic(g, h), s, "left")
+        with pytest.raises(HypothesisError):
+            full_cover(lexicographic(g, h), t, "right")
+
+
 def test_pair_unpair():
     p = cartesian(path_graph(3), cycle_graph(4))
-    assert p.order == 12 and p.left_order == 3 and p.right_order == 4
+    assert p.order == 12 and p.left.order == 3 and p.right.order == 4
     for g in range(3):
         for h in range(4):
             assert p.unpair(p.pair(g, h)) == (g, h)
